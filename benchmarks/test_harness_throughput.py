@@ -8,6 +8,8 @@ downstream user needs to size their own experiments.
 
 import gc
 import json
+import os
+import sys
 import time
 
 from repro.browser import Browser
@@ -20,6 +22,10 @@ from repro.workloads import build_lan
 from repro.workloads.surf import generate_trace, run_surf
 
 from conftest import write_result
+
+# The reference-builder oracle lives with the tier-1 tests.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+from tests.serve_oracle import assert_reference_envelope
 
 
 def test_end_to_end_surf_throughput(benchmark, results_dir):
@@ -54,10 +60,10 @@ def test_end_to_end_surf_throughput(benchmark, results_dir):
 _MSN = generate_table1_site(TABLE1_SITES[4])
 
 
-# -- serve pipeline: batched broadcast plans vs legacy per-member path --------
+# -- serve pipeline: broadcast plans ------------------------------------------
 
 
-def _serve_world(batched):
+def _serve_world():
     """Host browser + agent showing the MSN Table-1 homepage."""
     sim = Simulator()
     network = Network(sim)
@@ -68,7 +74,7 @@ def _serve_world(batched):
     OriginServer(network, "msn.com", site.handle)
     host_pc = Host(network, "host-pc", LAN_PROFILE, segment="campus")
     browser = Browser(host_pc, name="host")
-    agent = RCBAgent(enable_batched_serve=batched)
+    agent = RCBAgent()
     agent.install(browser)
     sim.run_until_complete(sim.process(browser.navigate("http://msn.com/")))
     return browser, agent
@@ -99,39 +105,32 @@ def _serve_round(agent, n_members, prev_time, broadcast, collect=False):
     for index in range(n_members):
         their_time = 0 if index % 2 == 0 else prev_time
         body, _is_delta = agent._serve_body("m%d" % index, their_time, broadcast)
-        response = agent._respond(body)
-        if response.wire_plan is not None:
-            # Zero-copy handoff: the socket layer ships the buffer list.
-            response.wire_buffers()
-        else:
-            response.to_bytes()
+        # Zero-copy handoff: the socket layer ships the buffer list.
+        agent._respond(body).wire_buffers()
         if collect:
-            bodies.append(response.to_bytes())
+            bodies.append(body.to_bytes())
     return bodies
 
 
 def _measure_serve(n_members, rounds=24):
-    """Best-of serve throughput for both pipelines at one member count.
+    """Best-of serve throughput at one member count.
 
-    Returns a dict with legacy/batched serves-per-second and the
-    verified byte-identity flag (the batched output is compared against
-    the legacy output member by member before timing starts).
+    Before timing, one tick of bodies (full and delta) is checked
+    against the reference builder (``tests/serve_oracle.py``).
     """
-    browser_l, agent_l = _serve_world(False)
-    browser_b, agent_b = _serve_world(True)
-    assert agent_l.doc_time == agent_b.doc_time
+    browser, agent = _serve_world()
 
-    # Byte-identity check before timing: same tick, same members.
-    prev = agent_l.doc_time
-    agent_l._serve_body("warm", 0, [])
-    agent_b._serve_body("warm", 0, [])
-    _tick(browser_l, 0)
-    _tick(browser_b, 0)
-    identical = _serve_round(
-        agent_l, 8, prev, [MouseMoveAction(1, 2)], collect=True
-    ) == _serve_round(agent_b, 8, prev, [MouseMoveAction(1, 2)], collect=True)
+    prev = agent.doc_time
+    agent._serve_body("warm", 0, [])
+    _tick(browser, 0)
+    broadcast = [MouseMoveAction(1, 2)]
+    full, _ = agent._serve_body("reference-full", 0, [])
+    kinds = set()
+    for body in _serve_round(agent, 8, prev, broadcast, collect=True):
+        kinds.add(assert_reference_envelope(body, broadcast, full.to_bytes()).is_delta)
+    assert kinds == {False, True}, "the check tick must serve both envelope kinds"
 
-    def timed_round(browser, agent, value):
+    def timed_round(value):
         prev_time = agent.doc_time
         _tick(browser, 100 + value)
         broadcast = [MouseMoveAction(value, value + 1)]
@@ -144,35 +143,23 @@ def _measure_serve(n_members, rounds=24):
         _serve_round(agent, n_members, prev_time, broadcast)
         return time.perf_counter() - started
 
-    # Interleave the two pipelines round by round (and keep the garbage
-    # collector out of the timed windows) so a noisy scheduling window
-    # skews both sides alike instead of one side wholesale.
-    legacy_seconds = batched_seconds = float("inf")
+    # Keep the garbage collector out of the timed windows; best of the
+    # rounds, so a noisy scheduling window cannot set the figure.
+    best_seconds = float("inf")
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for value in range(rounds):
-            legacy_seconds = min(
-                legacy_seconds, timed_round(browser_l, agent_l, value)
-            )
-            batched_seconds = min(
-                batched_seconds, timed_round(browser_b, agent_b, value)
-            )
+            best_seconds = min(best_seconds, timed_round(value))
             gc.collect()
     finally:
         if gc_was_enabled:
             gc.enable()
-    return {
-        "members": n_members,
-        "byte_identical": identical,
-        "legacy_serves_per_s": n_members / legacy_seconds,
-        "batched_serves_per_s": n_members / batched_seconds,
-        "speedup": legacy_seconds / batched_seconds,
-    }
+    return {"members": n_members, "batched_serves_per_s": n_members / best_seconds}
 
 
 def test_serve_pipeline_throughput(benchmark, results_dir):
-    """Broadcast-plan serving vs the legacy per-member path (N=64, 256)."""
+    """Broadcast-plan serving throughput (N=64, 256)."""
     measurements = {}
 
     def run_all():
@@ -181,23 +168,16 @@ def test_serve_pipeline_throughput(benchmark, results_dir):
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    lines = []
-    for n_members, result in sorted(measurements.items()):
-        lines.append(
-            "Batched serve (MSN, N=%d): %.1f serves/s vs legacy %.1f serves/s "
-            "(%.1fx speedup)"
-            % (
-                n_members,
-                result["batched_serves_per_s"],
-                result["legacy_serves_per_s"],
-                result["speedup"],
-            )
-        )
+    lines = [
+        "Batched serve (MSN, N=%d): %.1f serves/s"
+        % (n_members, result["batched_serves_per_s"])
+        for n_members, result in sorted(measurements.items())
+    ]
     headline = measurements[256]
     lines.append(
         "Serve pipeline: N=256 batched broadcast plans "
-        "(%.1f operations/s); byte-identical to legacy: %s"
-        % (headline["batched_serves_per_s"], headline["byte_identical"])
+        "(%.1f operations/s); bodies checked against the reference builder"
+        % headline["batched_serves_per_s"]
     )
     write_result(results_dir, "serve_throughput.txt", "\n".join(lines))
     write_result(
@@ -213,13 +193,6 @@ def test_serve_pipeline_throughput(benchmark, results_dir):
             indent=2,
             sort_keys=True,
         ),
-    )
-
-    for result in measurements.values():
-        assert result["byte_identical"], "batched output diverged from legacy"
-    assert headline["speedup"] >= 5.0, (
-        "batched serve speedup %.2fx at N=256 is below the 5x target"
-        % headline["speedup"]
     )
 
 

@@ -107,12 +107,18 @@ def test_m6_participant_update(benchmark, spec):
 
 def test_generation_reused_across_participants(benchmark):
     """§4.1.2: generation runs once per document state; serving N
-    participants reuses the XML.  The per-participant marginal cost is
-    the splice of their action queue, benchmarked here."""
-    from repro.core.agent import RCBAgent
-    from repro.core import MouseMoveAction
+    participants reuses it.  The per-participant marginal cost is the
+    broadcast plan splicing their action queue into the shared wire
+    template, benchmarked here."""
+    from repro.core import MouseMoveAction, encode_actions
+    from repro.core.serveplan import BroadcastPlan
+    from repro.core.xmlformat import js_escape, wire_envelope_template
 
     harness = SiteComputeHarness(TABLE1_SITES[4])
-    xml = harness.generate(cache_mode=False).xml_text
+    generated = harness.generate(cache_mode=False)
+    plan = BroadcastPlan(
+        wire_envelope_template(1, generated.head_segments, generated.top_segments)
+    )
+    actions = [MouseMoveAction(1, 2)]
 
-    benchmark(lambda: RCBAgent._splice_actions(xml, [MouseMoveAction(1, 2)]))
+    benchmark(lambda: plan.personalize(js_escape(encode_actions(actions)).encode("ascii")))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..browser.browser import Browser, BrowserExtension
 from ..browser.observer import (
@@ -31,7 +31,7 @@ from ..browser.observer import (
     TOPIC_DOCUMENT_LOADED,
     TOPIC_OBJECT_DOWNLOADED,
 )
-from ..http import Headers, HttpRequest, HttpResponse, html_response
+from ..http import Headers, HttpRequest, HttpResponse, WirePlan, html_response
 from ..http.server import serve_connection
 from ..net.socket import ListenSocket
 from ..obs import (
@@ -74,17 +74,16 @@ from .transport import (
     TRANSPORT_HEADER,
     TRANSPORT_MODES,
     TRANSPORT_POLL,
-    IntervalPollTransport,
-    LongPollTransport,
     Transport,
     coerce_transport,
     transport_for_mode,
 )
 from .xmlformat import (
+    EMPTY_ACTIONS_WIRE,
     NewContent,
+    WireTemplate,
     build_envelope,
     js_escape,
-    split_wire_template,
     wire_delta_template,
     wire_envelope_template,
 )
@@ -137,7 +136,6 @@ class RCBAgent(BrowserExtension):
         policy: Optional[ModerationPolicy] = None,
         secret: Optional[str] = None,
         poll_interval: float = 1.0,
-        long_poll_timeout: Optional[float] = None,
         transport=None,
         always_resend: bool = False,
         replicate_cookies: bool = False,
@@ -145,7 +143,6 @@ class RCBAgent(BrowserExtension):
         announce_presence: bool = False,
         enable_delta: bool = True,
         delta_history: int = 8,
-        enable_batched_serve: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         metrics_node: Optional[str] = None,
@@ -167,10 +164,7 @@ class RCBAgent(BrowserExtension):
         #: Poll interval advertised to participants on the initial page.
         self.poll_interval = poll_interval
         #: The default delivery strategy (``RCB_TRANSPORT`` when the
-        #: argument is None).  ``long_poll_timeout`` is the legacy
-        #: spelling of a long-poll transport and still works.
-        if transport is None and long_poll_timeout is not None:
-            transport = LongPollTransport(hold_timeout=long_poll_timeout)
+        #: argument is None).
         self.transport = coerce_transport(transport)
         #: Per-member transport overrides (set by the adaptive
         #: controller or :meth:`set_member_transport`); they outrank
@@ -205,12 +199,6 @@ class RCBAgent(BrowserExtension):
         self.enable_delta = enable_delta
         #: How many distinct document states the snapshot ring retains.
         self.delta_history = delta_history
-        #: Batched serving: co-due polls against the same (doc_time,
-        #: base_time, mode key) share one diff and one serialized body
-        #: (a broadcast plan), with per-member personalization limited
-        #: to the spliced userActions payload.  False restores the
-        #: legacy per-member str serve path exactly.
-        self.enable_batched_serve = enable_batched_serve
         self._change_waiters: List = []
 
         self.generator = ContentGenerator(AGENT_OBJECT_PATH)
@@ -223,13 +211,8 @@ class RCBAgent(BrowserExtension):
         self._downloaded_urls: List[str] = []
 
         self._doc_time = 0
-        #: Generated envelopes per cache-mode key, for the current
-        #: document state only.
-        self._generated_xml: Dict[str, str] = {}
-        #: The same envelopes pre-split around the userActions section,
-        #: so per-participant action splicing is O(actions) instead of
-        #: re-scanning the page-sized XML text.
-        self._generated_split: Dict[str, tuple] = {}
+        #: The document state ``_delta_memo``, ``_wire_templates`` and
+        #: ``_plans`` (below) were built for.
         self._generated_for_time = -1
         self._generation_count = 0
         #: Stable rewrite callables per (mode key, page URL, auth
@@ -244,12 +227,13 @@ class RCBAgent(BrowserExtension):
         #: Memoized ops JSON per (base_time, mode_key) for the *current*
         #: document state: participants at the same base share one diff.
         self._delta_memo: Dict = {}
-        #: Batched serving, for the *current* document state only (both
-        #: tables reset together with the envelope caches): pre-encoded
-        #: wire templates per mode key, and broadcast plans (or
-        #: remembered fallbacks) per (base_time, mode_key) — base 0 is
-        #: the full envelope.
-        self._wire_templates: Dict[str, object] = {}
+        #: The generation cache, for the *current* document state only:
+        #: the generated envelope's pre-encoded wire template per mode
+        #: key (generated once, reused for every participant).
+        self._wire_templates: Dict[str, WireTemplate] = {}
+        #: Broadcast plans (or remembered fallbacks) per (base_time,
+        #: mode_key) for the current document state — base 0 is the
+        #: full envelope.  Co-due polls share one diff and one body.
         self._plans: Dict[tuple, object] = {}
         #: Escaped userActions payloads keyed by action-object identity:
         #: broadcast_action hands the *same* action objects to every
@@ -419,19 +403,6 @@ class RCBAgent(BrowserExtension):
         self.cache_policy = coerce_cache_policy(value)
 
     # -- transports -----------------------------------------------------------------------
-
-    @property
-    def long_poll_timeout(self) -> Optional[float]:
-        """Legacy view of the default transport: the hold timeout when
-        it holds connections open, None for interval polling."""
-        return self.transport.hold_timeout if self.transport.holds else None
-
-    @long_poll_timeout.setter
-    def long_poll_timeout(self, value: Optional[float]) -> None:
-        if value is None:
-            self.transport = IntervalPollTransport()
-        else:
-            self.transport = LongPollTransport(hold_timeout=value)
 
     def transport_mode_for(self, participant_id: str) -> str:
         """The mode currently governing one member's polls: a controller
@@ -732,62 +703,26 @@ class RCBAgent(BrowserExtension):
                 return self._with_transport(
                     self._xml("", participant=participant_id, kind="empty"), advertise
                 )
-        if self.always_resend and self.browser.page is not None:
-            participant.outbound_actions = []
-            body, _ = self._serve_body(
-                participant_id, their_time, outbound, force_full=True
-            )
-            size = len(body)
-            participant.content_responses += 1
-            self.stats.inc("content_responses")
-            self.stats.inc("full_responses")
-            self.stats.inc("full_bytes_sent", size)
-            context = self._serve_span(arrived, participant_id, False, size, holds)
-            self._emit(
-                POLL_SERVED,
-                trace=context,
-                participant=participant_id,
-                kind="full",
-                bytes=size,
-                doc_time=self._doc_time,
-            )
-            return self._with_transport(
-                self._respond(body, context, participant_id, "full"), advertise
-            )
-        if self._doc_time > their_time and self.browser.page is not None:
+        if self.browser.page is not None and (
+            self.always_resend or self._doc_time > their_time
+        ):
             # Step 3: response sending, with new content — a delta
             # envelope when this participant's acknowledged state is
-            # still in the snapshot ring, the full envelope otherwise.
-            participant.outbound_actions = []
-            generations_before = self._generation_count
-            body, is_delta = self._serve_body(participant_id, their_time, outbound)
-            size = len(body)
-            if is_delta:
-                self.stats.inc("delta_responses")
-                self.stats.inc("delta_bytes_sent", size)
-            else:
-                self.stats.inc("full_responses")
-                self.stats.inc("full_bytes_sent", size)
-            if (
-                self.generation_cost_per_kb > 0
-                and self._generation_count > generations_before
-            ):
-                # Charge the device's CPU time for the generation run.
-                yield self.browser.sim.timeout(
-                    self.generation_cost_per_kb * size / 1024.0
-                )
-            participant.content_responses += 1
-            self.stats.inc("content_responses")
-            context = self._serve_span(arrived, participant_id, is_delta, size, holds)
+            # still in the snapshot ring, the full envelope otherwise
+            # (always, under the always-resend ablation).
+            body, is_delta = yield from self._serve_content(
+                participant, their_time, force_full=self.always_resend
+            )
+            kind = "delta" if is_delta else "full"
+            context = self._serve_span(arrived, participant_id, is_delta, len(body), holds)
             self._emit(
                 POLL_SERVED,
                 trace=context,
                 participant=participant_id,
-                kind="delta" if is_delta else "full",
-                bytes=size,
+                kind=kind,
+                bytes=len(body),
                 doc_time=self._doc_time,
             )
-            kind = "delta" if is_delta else "full"
             return self._with_transport(
                 self._respond(body, context, participant_id, kind), advertise
             )
@@ -855,26 +790,8 @@ class RCBAgent(BrowserExtension):
                 # the connection underneath is dropping anyway.
                 return None
             if self._doc_time > base and self.browser.page is not None:
-                outbound = participant.outbound_actions
-                participant.outbound_actions = []
-                generations_before = self._generation_count
-                body, is_delta = self._serve_body(participant_id, base, outbound)
-                size = len(body)
-                if is_delta:
-                    self.stats.inc("delta_responses")
-                    self.stats.inc("delta_bytes_sent", size)
-                else:
-                    self.stats.inc("full_responses")
-                    self.stats.inc("full_bytes_sent", size)
-                if (
-                    self.generation_cost_per_kb > 0
-                    and self._generation_count > generations_before
-                ):
-                    yield sim.timeout(self.generation_cost_per_kb * size / 1024.0)
-                participant.content_responses += 1
-                self.stats.inc("content_responses")
+                body, last_is_delta = yield from self._serve_content(participant, base)
                 captured.append(body)
-                last_is_delta = is_delta
                 base = self._doc_time
                 if len(captured) >= transport.max_envelopes:
                     break
@@ -967,9 +884,10 @@ class RCBAgent(BrowserExtension):
             )
             span.finish(end)
 
-    #: Coarse attribution labels for legacy str bodies (anything not
-    #: listed counts as document ``body``).
-    _STR_BUCKETS = {"delta": "delta", "actions": "userActions"}
+    #: Coarse attribution labels for the str bodies :meth:`_xml` ships
+    #: — empty and action-only responses (anything not listed counts as
+    #: document ``body``).
+    _STR_BUCKETS = {"actions": "userActions"}
 
     def _xml(
         self,
@@ -1028,25 +946,23 @@ class RCBAgent(BrowserExtension):
 
     # -- content generation & reuse ------------------------------------------------------------
 
-    def _ensure_generated(self, participant_id: str) -> str:
+    def _ensure_generated(self, participant_id: str) -> WireTemplate:
         """(Re)generate the envelope if the document changed; returns the
-        cached XML text (with empty userActions).
+        cached wire template (the userActions slot left open).
 
-        Envelopes are cached per cache-mode key: participants whose
+        Templates are cached per cache-mode key: participants whose
         policy decisions coincide share one generation (paper §4.1.2's
         generate-once-reuse, preserved within each mode group).
         """
         if self._generated_for_time != self._doc_time:
-            self._generated_xml = {}
-            self._generated_split = {}
             self._delta_memo = {}
             self._wire_templates = {}
             self._plans = {}
             self._generated_for_time = self._doc_time
         mode_key = self.cache_policy.mode_key(participant_id)
-        cached = self._generated_xml.get(mode_key)
-        if cached is not None:
-            return cached
+        template = self._wire_templates.get(mode_key)
+        if template is not None:
+            return template
         page = self.browser.page
         page_url = str(page.url)
         sign_target, should_cache = self._rewrite_callables(
@@ -1073,27 +989,16 @@ class RCBAgent(BrowserExtension):
             cookies_json=cookies_json,
             mode_key=mode_key,
             build_canonical=self.enable_delta,
-            encode_segments=self.enable_batched_serve,
         )
         self._object_map.update(generated.object_map)
-        self._generated_xml[mode_key] = generated.xml_text
-        split = self._split_envelope(generated.xml_text)
-        if split is not None:
-            self._generated_split[mode_key] = split
-        if self.enable_batched_serve:
-            if generated.head_segments is not None:
-                # Zero-copy wire path: assemble the template from the
-                # generator's pre-encoded immutable segment bytes.
-                self._wire_templates[mode_key] = wire_envelope_template(
-                    self._doc_time,
-                    generated.head_segments,
-                    generated.top_segments,
-                    cookies_json=cookies_json,
-                )
-            else:
-                template = split_wire_template(generated.xml_text)
-                if template is not None:
-                    self._wire_templates[mode_key] = template
+        # Zero-copy wire path: assemble the template from the
+        # generator's pre-encoded immutable segment bytes.
+        template = self._wire_templates[mode_key] = wire_envelope_template(
+            self._doc_time,
+            generated.head_segments,
+            generated.top_segments,
+            cookies_json=cookies_json,
+        )
         self._generation_count += 1
         self.stats.set("last_generation_seconds", generated.generation_seconds)
         self.stats.observe("generation_seconds", generated.generation_seconds)
@@ -1114,7 +1019,7 @@ class RCBAgent(BrowserExtension):
                 node=self._node_name(),
                 doc_time=self._doc_time,
                 mode_key=mode_key,
-                bytes=len(generated.xml_text),
+                bytes=template.pre_len + len(EMPTY_ACTIONS_WIRE) + template.post_len,
                 wall_seconds=generated.generation_seconds,
                 urls_rewritten=generated.urls_rewritten,
                 generation_mode=generated.mode,
@@ -1127,7 +1032,7 @@ class RCBAgent(BrowserExtension):
             self._store_snapshot(
                 self._doc_time, mode_key, generated.content, tree=generated.canonical_root
             )
-        return generated.xml_text
+        return template
 
     def _rewrite_callables(self, mode_key: str, page_url: str, participant_id: str):
         """Stable ``(sign_target, should_cache)`` for a mode group.
@@ -1182,56 +1087,10 @@ class RCBAgent(BrowserExtension):
         per_mode = self._snapshots.get(doc_time)
         return None if per_mode is None else per_mode.get(mode_key)
 
-    def _content_envelope(self, participant_id, their_time, actions):
-        """The content response for one participant: ``(xml, is_delta)``.
-
-        Prefers a delta envelope when the participant's acknowledged
-        ``their_time`` is still in the snapshot ring and the diff is
-        actually smaller than the full envelope; every other case —
-        delta disabled, brand-new participant, evicted snapshot, or an
-        edit so large the diff loses — falls back to the full envelope.
-        """
-        full = self._envelope_with_actions(actions, participant_id)
-        if not self.enable_delta or their_time <= 0:
-            return full, False
-        mode_key = self.cache_policy.mode_key(participant_id)
-        ops_json = self._delta_ops_json(their_time, mode_key)
-        if ops_json is None:
-            self.stats.inc("delta_fallbacks")
-            self._emit(
-                DELTA_FALLBACK,
-                participant=participant_id,
-                reason="no-snapshot",
-                base_time=their_time,
-                doc_time=self._doc_time,
-            )
-            return full, False
-        content = NewContent(
-            self._doc_time,
-            user_actions_json=encode_actions(actions) if actions else "[]",
-            base_time=their_time,
-            delta_ops_json=ops_json,
-        )
-        delta_xml = build_envelope(content)
-        if len(delta_xml) >= len(full):
-            self.stats.inc("delta_fallbacks")
-            self._emit(
-                DELTA_FALLBACK,
-                participant=participant_id,
-                reason="oversize",
-                base_time=their_time,
-                doc_time=self._doc_time,
-                delta_bytes=len(delta_xml),
-                full_bytes=len(full),
-            )
-            return full, False
-        self.stats.inc("delta_bytes_saved", len(full) - len(delta_xml))
-        return delta_xml, True
-
     def _delta_ops_json(self, their_time: int, mode_key: str) -> Optional[str]:
         """Memoized delta ops JSON for one base, or None when either
-        snapshot has left the ring.  Shared by the legacy per-member
-        path and the broadcast planner — both see one diff per base."""
+        snapshot has left the ring — one diff per base and document
+        state, whatever the number of members asking for it."""
         ops_json = self._delta_memo.get((their_time, mode_key))
         if ops_json is not None:
             return ops_json
@@ -1256,9 +1115,9 @@ class RCBAgent(BrowserExtension):
             ).finish(now)
         return ops_json
 
-    # -- batched serving (broadcast plans) -----------------------------------------------------
+    # -- serving (broadcast plans) --------------------------------------------------------
 
-    def _full_plan(self, participant_id: str, mode_key: str) -> Optional[BroadcastPlan]:
+    def _full_plan(self, participant_id: str, mode_key: str) -> BroadcastPlan:
         """The full-envelope broadcast plan for a mode group, building
         it (once per document state) from the cached wire template."""
         if self._generated_for_time == self._doc_time:
@@ -1267,19 +1126,7 @@ class RCBAgent(BrowserExtension):
             plan = self._plans.get((0, mode_key))
             if plan is not None:
                 return plan
-        xml = self._ensure_generated(participant_id)
-        plan = self._plans.get((0, mode_key))
-        if plan is not None:
-            return plan
-        template = self._wire_templates.get(mode_key)
-        if template is None:
-            # Segment bytes unavailable (e.g. the batched toggle was
-            # flipped mid-state): split the cached text instead.
-            template = split_wire_template(xml)
-            if template is None:
-                return None
-            self._wire_templates[mode_key] = template
-        plan = BroadcastPlan(template, is_delta=False)
+        plan = BroadcastPlan(self._ensure_generated(participant_id), is_delta=False)
         self._plans[(0, mode_key)] = plan
         self.stats.inc("serve_plans_built")
         self._plans_built_n += 1
@@ -1295,8 +1142,8 @@ class RCBAgent(BrowserExtension):
         """The delta broadcast plan for one base, or None when the full
         envelope must be served instead.  Failures are remembered as
         :class:`PlanFallback` so co-due members of a hopeless base skip
-        the diff — but their fallback stats/events still fire per serve,
-        mirroring the unbatched path exactly."""
+        the diff — but their fallback stats/events still fire once per
+        serve, exactly as if each member's diff had been tried."""
         entry = self._plans.get((their_time, mode_key))
         if entry is None:
             ops_json = self._delta_ops_json(their_time, mode_key)
@@ -1308,10 +1155,10 @@ class RCBAgent(BrowserExtension):
                     is_delta=True,
                 )
                 if plan.empty_len >= full_plan.empty_len:
-                    # Same verdict the legacy path reaches per member:
-                    # the actions bytes are identical on both
-                    # candidates, so comparing empty-actions lengths is
-                    # the same comparison.
+                    # A delta ships only when strictly shorter than the
+                    # full envelope carrying the same actions; the
+                    # actions bytes are identical on both candidates, so
+                    # comparing empty-actions lengths is that comparison.
                     entry = PlanFallback(
                         "oversize",
                         delta_bytes=plan.empty_len,
@@ -1338,20 +1185,25 @@ class RCBAgent(BrowserExtension):
         self.stats.inc("delta_bytes_saved", full_plan.empty_len - entry.empty_len)
         return entry
 
-    def _serve_batched(
+    def _serve_body(
         self,
         participant_id: str,
         their_time: int,
         actions: List[UserAction],
         force_full: bool = False,
-    ):
-        """``(WirePlan, is_delta)`` via the broadcast planner, or
-        ``(None, False)`` when no plan can be built (caller falls back
-        to the legacy str path)."""
+    ) -> Tuple[WirePlan, bool]:
+        """The poll body for one participant: ``(WirePlan, is_delta)``.
+
+        A delta plan when the participant's acknowledged ``their_time``
+        is still in the snapshot ring and the diff is strictly smaller
+        than the full envelope; the full plan in every other case —
+        ``force_full``, delta disabled, brand-new participant, evicted
+        snapshot, or an edit so large the diff loses.  Either way the
+        page-sized bytes are shared by every co-due member; only the
+        userActions payload is spliced per member.
+        """
         mode_key = self.cache_policy.mode_key(participant_id)
         plan = self._full_plan(participant_id, mode_key)
-        if plan is None:
-            return None, False
         if not force_full and self.enable_delta and their_time > 0:
             # Inlined hit path: a built delta plan for this base is a
             # single dict probe away (the common case for co-due polls).
@@ -1375,6 +1227,32 @@ class RCBAgent(BrowserExtension):
         body = plan.personalize(self._actions_wire(actions) if actions else None)
         return body, plan.is_delta
 
+    def _serve_content(self, participant: ParticipantState, their_time: int, force_full=False):
+        """Serve one content envelope, draining the member's queued
+        outbound actions into it, and count it: response kind, bytes,
+        and the device's generation CPU when this serve ran generation.
+
+        Generator; returns ``(WirePlan, is_delta)``.
+        """
+        actions, participant.outbound_actions = participant.outbound_actions, []
+        generations_before = self._generation_count
+        body, is_delta = self._serve_body(
+            participant.participant_id, their_time, actions, force_full=force_full
+        )
+        size = len(body)
+        if is_delta:
+            self.stats.inc("delta_responses")
+            self.stats.inc("delta_bytes_sent", size)
+        else:
+            self.stats.inc("full_responses")
+            self.stats.inc("full_bytes_sent", size)
+        if self.generation_cost_per_kb > 0 and self._generation_count > generations_before:
+            # Charge the device's CPU time for the generation run.
+            yield self.browser.sim.timeout(self.generation_cost_per_kb * size / 1024.0)
+        participant.content_responses += 1
+        self.stats.inc("content_responses")
+        return body, is_delta
+
     def _actions_wire(self, actions: List[UserAction]) -> bytes:
         """The escaped userActions CDATA payload, memoized by action
         identity: a broadcast queues the *same* action objects on every
@@ -1391,38 +1269,15 @@ class RCBAgent(BrowserExtension):
         self._actions_memo[key] = (tuple(actions), wire)
         return wire
 
-    def _serve_body(
-        self,
-        participant_id: str,
-        their_time: int,
-        actions: List[UserAction],
-        force_full: bool = False,
-    ):
-        """The poll body for one participant: ``(body, is_delta)`` where
-        the body is a zero-copy :class:`WirePlan` when batched serving
-        is on and the legacy str envelope otherwise.  Both carry
-        identical bytes on the wire."""
-        if self.enable_batched_serve:
-            body, is_delta = self._serve_batched(
-                participant_id, their_time, actions, force_full=force_full
-            )
-            if body is not None:
-                return body, is_delta
-        if force_full:
-            return self._envelope_with_actions(actions, participant_id), False
-        return self._content_envelope(participant_id, their_time, actions)
-
     def _respond(
         self,
-        body,
+        body: WirePlan,
         trace_context: Optional[SpanContext] = None,
         participant: Optional[str] = None,
         kind: Optional[str] = None,
     ) -> HttpResponse:
-        """Wrap a poll body — str or :class:`WirePlan` — in a 200,
-        opening its cost record when attribution is on."""
-        if isinstance(body, str):
-            return self._xml(body, trace_context, participant=participant, kind=kind)
+        """Wrap a poll body in a 200, opening its cost record when
+        attribution is on."""
         self.stats.inc("wire_bytes_zero_copy", body.zero_copy_bytes)
         self.stats.inc("wire_bytes_copied", body.copied_bytes)
         headers = Headers.preset(
@@ -1447,57 +1302,9 @@ class RCBAgent(BrowserExtension):
         is reused across participants; paper §4.1.2)."""
         return self._generation_count
 
-    def _envelope_with_actions(self, actions: List[UserAction], participant_id: str) -> str:
-        xml = self._ensure_generated(participant_id)
-        if not actions:
-            return xml
-        mode_key = self.cache_policy.mode_key(participant_id)
-        split = self._generated_split.get(mode_key)
-        if split is None:
-            return self._splice_actions(xml, actions)
-        # Cached split: splicing costs O(actions), not a scan of the
-        # page-sized envelope per participant.
-        prefix, suffix = split
-        return (
-            prefix
-            + "<userActions><![CDATA["
-            + js_escape(encode_actions(actions))
-            + "]]></userActions>"
-            + suffix
-        )
-
     def _action_only_envelope(self, actions: List[UserAction]) -> str:
         content = NewContent(self._doc_time, [], [], encode_actions(actions))
         return build_envelope(content)
-
-    @staticmethod
-    def _split_envelope(xml: str):
-        """``(prefix, suffix)`` around the userActions section, or None
-        when the envelope has no such section."""
-        start = xml.find("<userActions>")
-        if start == -1:
-            return None
-        end = xml.find("</userActions>", start)
-        if end == -1:
-            return None
-        return xml[:start], xml[end + len("</userActions>"):]
-
-    @staticmethod
-    def _splice_actions(xml: str, actions: List[UserAction]) -> str:
-        split = RCBAgent._split_envelope(xml)
-        if split is None:
-            return xml
-        prefix, suffix = split
-        # The suffix keeps every section after userActions — previously
-        # the splice truncated to </newContent>, silently dropping a
-        # docCookies section.
-        return (
-            prefix
-            + "<userActions><![CDATA["
-            + js_escape(encode_actions(actions))
-            + "]]></userActions>"
-            + suffix
-        )
 
     # -- action moderation and application -----------------------------------------------------
 

@@ -166,8 +166,7 @@ class GeneratedContent:
         #: version-guided diffs skip them without descending).
         self.canonical_root = canonical_root
         #: Pre-encoded (ASCII bytes) section payloads for the zero-copy
-        #: wire path, cached per clone element across generations; None
-        #: unless the caller asked for ``encode_segments``.
+        #: wire path, cached per clone element across generations.
         self.head_segments = head_segments
         self.top_segments = top_segments
 
@@ -274,7 +273,6 @@ class ContentGenerator:
         cookies_json: str = "[]",
         mode_key: Optional[str] = None,
         build_canonical: bool = False,
-        encode_segments: bool = False,
     ) -> GeneratedContent:
         """Produce the envelope for the document's current state.
 
@@ -299,10 +297,10 @@ class ContentGenerator:
         calls — fresh closures per call force a full rebuild every time.
         ``build_canonical`` additionally builds the canonical content
         tree (:func:`repro.core.delta.content_tree` shape) with
-        unchanged subtrees shared against the previous build.
-        ``encode_segments`` additionally exposes each section's payload
-        pre-encoded to ASCII bytes (cached per clone element, like the
-        payload strings), for the zero-copy wire templates.
+        unchanged subtrees shared against the previous build.  Each
+        section's payload is also exposed pre-encoded to ASCII bytes
+        (cached per clone element, like the payload strings), for the
+        zero-copy wire templates.
         """
         started = time.perf_counter()
         root = document.document_element
@@ -337,8 +335,8 @@ class ContentGenerator:
         top_elements: List[TopElement] = []
         top_payloads: List[Tuple[str, str]] = []
         top_clones: List[Element] = []
-        head_segments: Optional[List[bytes]] = [] if encode_segments else None
-        top_segments: Optional[List[Tuple[str, bytes]]] = [] if encode_segments else None
+        head_segments: List[bytes] = []
+        top_segments: List[Tuple[str, bytes]] = []
         for child in clone.children:
             if child.tag == "head":
                 for head_child in child.children:
@@ -346,15 +344,13 @@ class ContentGenerator:
                     head_children.append(record)
                     head_payloads.append(payload)
                     head_clones.append(head_child)
-                    if head_segments is not None:
-                        head_segments.append(self._segment_bytes(head_child))
+                    head_segments.append(self._segment_bytes(head_child))
             elif child.tag in ("body", "frameset", "noframes"):
                 record, payload = self._segment(child, False, gen)
                 top_elements.append(record)
                 top_payloads.append((record.name, payload))
                 top_clones.append(child)
-                if top_segments is not None:
-                    top_segments.append((record.name, self._segment_bytes(child)))
+                top_segments.append((record.name, self._segment_bytes(child)))
 
         content = NewContent(
             doc_time, head_children, top_elements, user_actions_json, cookies_json

@@ -57,7 +57,7 @@ from ..sim import Interrupt
 from .actions import MouseMoveAction, ScrollAction, UserAction
 from .agent import AGENT_DEFAULT_PORT, RCBAgent
 from .snippet import _SNIPPET_SCRIPT_ID, AjaxSnippet, BackoffPolicy
-from .xmlformat import NewContent
+from .xmlformat import NewContent, WireTemplate
 
 __all__ = ["RelayAgent"]
 
@@ -86,7 +86,6 @@ class RelayAgent(RCBAgent):
         cache_mode: bool = True,
         enable_delta: bool = True,
         delta_history: int = 8,
-        enable_batched_serve: bool = True,
         transport=None,
         poll_backoff: Optional[BackoffPolicy] = None,
         reattach_backoff: Optional[BackoffPolicy] = None,
@@ -105,7 +104,6 @@ class RelayAgent(RCBAgent):
             poll_interval=poll_interval if poll_interval is not None else 1.0,
             enable_delta=enable_delta,
             delta_history=delta_history,
-            enable_batched_serve=enable_batched_serve,
             transport=transport,
             metrics=metrics,
             tracer=tracer,
@@ -341,7 +339,7 @@ class RelayAgent(RCBAgent):
             # Upstream is down; deliver after re-attachment.
             self._pending_upstream.append(action)
 
-    def _ensure_generated(self, participant_id: str) -> str:
+    def _ensure_generated(self, participant_id: str) -> WireTemplate:
         """Regenerate with the relay's own Ajax-Snippet lifted out.
 
         The relay's head keeps its snippet <script> (step 1 of the

@@ -14,8 +14,7 @@ plan table is invalidated together with the envelope caches when
 ``doc_time`` advances.  A base whose diff could not be built (evicted
 snapshot) or lost on size is remembered as a :class:`PlanFallback`, so
 co-due members of a hopeless base don't re-attempt the diff — but the
-fallback stats and events are still replayed per serve, keeping
-observability identical to the unbatched path.
+fallback stats and events are still replayed once per serve.
 """
 
 from __future__ import annotations
@@ -31,17 +30,11 @@ __all__ = ["BroadcastPlan", "PlanFallback", "merge_wire_bodies"]
 def merge_wire_bodies(bodies):
     """One response body carrying several envelopes back to back — the
     streamed-push wire format (the snippet splits on the XML
-    declaration).  All-:class:`~repro.http.wire.WirePlan` inputs merge
-    into one plan by reference, keeping the zero-copy accounting of
-    each captured envelope; any legacy str body degrades the merge to a
-    joined str (the unbatched serve path is str end to end)."""
+    declaration).  The captured :class:`~repro.http.wire.WirePlan`
+    bodies merge into one plan by reference, keeping the zero-copy
+    accounting of each."""
     if len(bodies) == 1:
         return bodies[0]
-    if any(isinstance(body, str) for body in bodies):
-        return "".join(
-            body if isinstance(body, str) else body.to_bytes().decode("utf-8")
-            for body in bodies
-        )
     merged = WirePlan()
     for body in bodies:
         merged.extend_plan(body)
@@ -79,46 +72,36 @@ class BroadcastPlan:
         self._memo_actions: Optional[bytes] = None
         self._memo_plan: Optional[WirePlan] = None
 
-    def personalize(
-        self, actions_wire: Optional[bytes] = None, shared: bool = True
-    ) -> WirePlan:
+    def personalize(self, actions_wire: Optional[bytes] = None) -> WirePlan:
         """A receiver's body: shared template + spliced actions.
 
         ``actions_wire`` is the already-escaped userActions CDATA
-        payload (``js_escape(encode_actions(...)).encode("ascii")``);
-        ``None`` means no queued actions and appends the shared empty
-        payload by reference, making the whole body zero-copy.
-        ``shared`` says whether the payload bytes outlive this body
-        (e.g. the agent's broadcast-actions memo) or were built for it
-        alone — it affects the zero-copy/copied accounting and whether
-        the spliced body may be memoized for the next co-due member.
+        payload (``js_escape(encode_actions(...)).encode("ascii")``),
+        shared by reference like the template (the agent memoizes it
+        per broadcast); ``None`` means no queued actions and appends the
+        shared empty payload.  Either way the whole body is zero-copy,
+        and the spliced body is memoized for the next co-due member
+        carrying the same payload object.
         """
-        if shared and actions_wire is self._memo_actions:
+        if actions_wire is self._memo_actions:
             memo = self._memo_plan
             if memo is not None:
                 return memo
+        payload = EMPTY_ACTIONS_WIRE if actions_wire is None else actions_wire
         plan = WirePlan()
         template = self.template
         plan.extend_shared(template.pre, template.pre_len)
-        if actions_wire is None:
-            plan.append_shared(EMPTY_ACTIONS_WIRE)
-        elif shared:
-            plan.append_shared(actions_wire)
-        else:
-            plan.append_owned(actions_wire)
+        plan.append_shared(payload)
         plan.extend_shared(template.post, template.post_len)
         if template.buckets is not None:
             # Label the payload bytes for cost attribution.  The dict
             # is built per splice (not per serve: memoized bodies share
             # theirs), so attribution rides the existing memo for free.
             buckets = dict(template.buckets)
-            buckets["userActions"] = len(
-                EMPTY_ACTIONS_WIRE if actions_wire is None else actions_wire
-            )
+            buckets["userActions"] = len(payload)
             plan.buckets = buckets
-        if shared:
-            self._memo_actions = actions_wire
-            self._memo_plan = plan
+        self._memo_actions = actions_wire
+        self._memo_plan = plan
         return plan
 
     def __repr__(self):

@@ -91,7 +91,6 @@ class CoBrowsingSession:
         poll_interval: float = 1.0,
         agent: Optional[RCBAgent] = None,
         enable_delta: bool = True,
-        enable_batched_serve: bool = True,
         transport=None,
         backoff: Optional[BackoffPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -116,7 +115,6 @@ class CoBrowsingSession:
                 secret=secret,
                 poll_interval=poll_interval,
                 enable_delta=enable_delta,
-                enable_batched_serve=enable_batched_serve,
                 transport=transport,
                 metrics=metrics,
                 tracer=tracer,
@@ -289,7 +287,6 @@ class CoBrowsingSession:
             fetch_objects=fetch_objects,
             enable_delta=self.agent.enable_delta,
             delta_history=self.agent.delta_history,
-            enable_batched_serve=self.agent.enable_batched_serve,
             transport=self.agent.transport.mode,
             poll_backoff=self._derive_backoff(member_id),
             reattach_backoff=self._reattach_backoff.derive(member_id),

@@ -339,7 +339,6 @@ class AgentPool:
             relay_id=shard_id,
             enable_delta=agent.enable_delta,
             delta_history=agent.delta_history,
-            enable_batched_serve=agent.enable_batched_serve,
             transport=agent.transport.mode,
             poll_backoff=self.session._derive_backoff(shard_id),
             metrics=self.session.metrics,

@@ -67,7 +67,6 @@ __all__ = [
     "WireTemplate",
     "wire_envelope_template",
     "wire_delta_template",
-    "split_wire_template",
     "EMPTY_ACTIONS_WIRE",
     "WIRE_ACTIONS_OPEN",
     "WIRE_ACTIONS_CLOSE",
@@ -537,31 +536,6 @@ def wire_delta_template(doc_time: int, base_time: int, delta_ops_json: str) -> W
     ]
     post = [WIRE_ACTIONS_CLOSE, _WIRE_CLOSE]
     return WireTemplate(pre, post, {"delta": len(delta_payload)})
-
-
-def split_wire_template(xml_text: str) -> Optional[WireTemplate]:
-    """A template from an already-assembled envelope's text.
-
-    Fallback for envelopes generated without per-section bytes: the
-    encoded text is split once around the (empty) userActions payload,
-    and both halves are shared as :class:`memoryview` slices — no
-    per-receiver copy of either page-sized half.  Returns None when the
-    text has no userActions section to splice.
-    """
-    data = xml_text.encode("utf-8")
-    start = data.find(WIRE_ACTIONS_OPEN)
-    if start == -1:
-        return None
-    start += len(WIRE_ACTIONS_OPEN)
-    end = data.find(WIRE_ACTIONS_CLOSE, start)
-    if end == -1:
-        return None
-    view = memoryview(data)
-    template = WireTemplate([view[:start]], [view[end:]])
-    # Without per-section payloads the decomposition is coarse: the
-    # whole envelope counts as ``body`` (matching the legacy-str path).
-    template.buckets = {"body": template.pre_len + template.post_len}
-    return template
 
 
 def parse_envelope(text: str) -> NewContent:

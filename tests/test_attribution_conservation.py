@@ -3,8 +3,8 @@
 Every cost-attributed response must decompose exactly: the labeled
 payload buckets (head / body / delta / userActions / docCookies) plus
 the framing residual equal the bytes actually written to the
-connection — for full, delta, long-poll, and push envelopes, on the
-batched zero-copy path and the legacy string path alike.  And holding
+connection — for full, delta, long-poll, and push envelopes, and for
+the coarse empty and action-only string responses.  And holding
 the cost books must be free on the wire: a session with attribution
 attached ships byte-identical traffic to one without.
 """
@@ -43,7 +43,7 @@ class RecordingAttribution(ByteAttribution):
         super().record(record)
 
 
-def build_agent(batched=True, attribution=None):
+def build_agent(attribution=None):
     sim = Simulator()
     network = Network(sim)
     site = StaticSite("site.com")
@@ -51,7 +51,7 @@ def build_agent(batched=True, attribution=None):
     OriginServer(network, "site.com", site.handle)
     host_pc = Host(network, "host-pc", LAN_PROFILE, segment="campus")
     browser = Browser(host_pc, name="host")
-    agent = RCBAgent(enable_batched_serve=batched, attribution=attribution)
+    agent = RCBAgent(attribution=attribution)
     agent.install(browser)
     sim.run_until_complete(sim.process(browser.navigate("http://site.com/")))
     return browser, agent
@@ -132,14 +132,6 @@ class TestFixedEnvelopes:
         record = response.attribution.finalize(0.0, shipped)
         assert record.buckets["userActions"] == len(xml.encode("utf-8"))
         assert sum(record.buckets.values()) == shipped
-
-    def test_legacy_string_path_conserves_coarsely(self):
-        browser, agent = build_agent(batched=False, attribution=RecordingAttribution())
-        del browser
-        record = serve_and_conserve(agent, "m1", 0, [])
-        # The str pipeline has no section sizes: the whole envelope body
-        # lands in the coarse ``body`` bucket, framing stays the HTTP head.
-        assert set(record.buckets) == {"body", "framing"}
 
     def test_push_merge_preserves_bucket_sums(self):
         """``WirePlan.extend_plan`` (the push-stream envelope merge)

@@ -122,8 +122,7 @@ class TestFloorsSpec:
     def test_custom_pattern_extracts_the_named_figure(self, tmp_path):
         rendering = tmp_path / "serve.txt"
         rendering.write_text(
-            "Batched serve (MSN, N=256): 151738.2 serves/s vs legacy "
-            "27334.6 serves/s (5.6x speedup)\n"
+            "Batched serve (MSN, N=256): 151738.2 serves/s\n"
         )
         value = guard.parse_metric(
             rendering.read_text(), r"N=256\): ([0-9.]+) serves/s"

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.browser import BrowserCache
 from repro.core import ContentGenerator, diff_trees
 from repro.core.actions import ClickAction, encode_actions
-from repro.core.agent import RCBAgent
 from repro.core.delta import content_tree
+from repro.core.serveplan import BroadcastPlan
 from repro.core.xmlformat import (
     PAYLOAD_SUFFIX,
     HeadChild,
@@ -29,6 +29,7 @@ from repro.core.xmlformat import (
     js_escape,
     payload_encode,
     top_element_prefix,
+    wire_envelope_template,
 )
 from repro.html import Comment, Element, Text, parse_document
 from repro.net import parse_url
@@ -53,11 +54,21 @@ def fresh_envelope(document, doc_time, **kwargs):
 
 
 def assert_identical(generator, document, doc_time, **kwargs):
-    """Incremental output must match a from-scratch run byte for byte."""
+    """Incremental output must match a from-scratch run byte for byte,
+    and the wire template built from its pre-encoded segment bytes must
+    serve exactly that envelope."""
     result = generator.generate(
         document, BASE, doc_time=doc_time, mode_key="m", build_canonical=True, **kwargs
     )
     assert result.xml_text == fresh_envelope(document, doc_time, **kwargs)
+    template = wire_envelope_template(
+        doc_time,
+        result.head_segments,
+        result.top_segments,
+        cookies_json=kwargs.get("cookies_json", "[]"),
+    )
+    served = BroadcastPlan(template).personalize(None).to_bytes()
+    assert served == result.xml_text.encode("ascii")
     return result
 
 
@@ -99,6 +110,43 @@ def test_edit_kinds_stay_byte_identical(edit):
     edit(document)
     result = assert_identical(generator, document, 2)
     assert result.mode == "incremental"
+
+
+def random_edit(document, kind, index, text):
+    target = div(document, index)
+    if kind == 0:
+        target.set_attribute("class", text)
+    elif kind == 1:
+        target.append_child(Text(text))
+    elif kind == 2 and target.children:
+        target.children[0].append_child(Text(text))
+    elif kind == 3 and target.child_nodes:
+        target.remove_child(target.child_nodes[-1])
+    elif kind == 4:
+        target.append_child(Element("a", {"href": "/" + text}))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=29),
+            st.text(alphabet=string.ascii_letters + "<&\"' ", min_size=1, max_size=12),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_random_edit_sequences_stay_byte_identical(edits):
+    """Across random incremental edits, each generation's xml_text and
+    its segment-built wire template agree with a from-scratch run."""
+    document = parse_document(MARKUP)
+    generator = ContentGenerator()
+    assert_identical(generator, document, 1)
+    for doc_time, (kind, index, text) in enumerate(edits, start=2):
+        random_edit(document, kind, index, text)
+        assert_identical(generator, document, doc_time)
 
 
 def test_interactive_insertion_rebuilds_shifted_refs():
@@ -325,35 +373,32 @@ def test_top_element_prefix_shape():
     )
 
 
-# -- envelope splitting / action splicing (agent statics) ---------------------------
+# -- userActions splicing into wire templates --------------------------------------
+
+
+def _actions_wire(actions):
+    return js_escape(encode_actions(actions)).encode("ascii")
 
 
 def test_splice_preserves_sections_after_user_actions():
-    """Regression: splicing userActions used to truncate the envelope at
+    """Regression: splicing userActions once truncated the envelope at
     </newContent>, silently dropping the docCookies section."""
-    xml = assemble_envelope(
-        7, [], [], "[]", cookies_json='[{"name":"sid","value":"1"}]'
-    )
-    assert "<docCookies>" in xml
-    spliced = RCBAgent._splice_actions(xml, [ClickAction("ref-1")])
-    assert "<docCookies>" in spliced
-    assert js_escape(encode_actions([ClickAction("ref-1")])) in spliced
-    assert spliced.endswith("</newContent>")
-
-
-def test_split_envelope_round_trips():
-    xml = assemble_envelope(3, [], [], "[]")
-    prefix, suffix = RCBAgent._split_envelope(xml)
-    assert prefix + "<userActions><![CDATA[%s]]></userActions>" % js_escape("[]") + suffix == xml
-    assert RCBAgent._split_envelope("<no-actions/>") is None
+    cookies = '[{"name":"sid","value":"1"}]'
+    actions = [ClickAction("ref-1")]
+    template = wire_envelope_template(7, [], [], cookies_json=cookies)
+    spliced = BroadcastPlan(template).personalize(_actions_wire(actions)).to_bytes()
+    assert spliced == assemble_envelope(7, [], [], encode_actions(actions), cookies).encode()
+    assert b"<docCookies>" in spliced
+    assert spliced.endswith(b"</newContent>")
 
 
 def test_splice_equals_regenerated_envelope():
     document = parse_document(MARKUP)
-    generator = ContentGenerator()
     actions = [ClickAction("ref-9")]
-    plain = generator.generate(document, BASE, doc_time=5).xml_text
+    plain = ContentGenerator().generate(document, BASE, doc_time=5)
     direct = ContentGenerator().generate(
         document, BASE, doc_time=5, user_actions_json=encode_actions(actions)
     ).xml_text
-    assert RCBAgent._splice_actions(plain, actions) == direct
+    template = wire_envelope_template(5, plain.head_segments, plain.top_segments)
+    spliced = BroadcastPlan(template).personalize(_actions_wire(actions)).to_bytes()
+    assert spliced == direct.encode("ascii")

@@ -66,8 +66,8 @@ def participant_canonical(browser):
 
 def agent_canonical(agent, participant_id):
     """What a full envelope would currently give this participant."""
-    xml = agent._ensure_generated(participant_id)
-    return serialize_node(content_tree(parse_envelope(xml)))
+    body, _ = agent._serve_body(participant_id, 0, [])
+    return serialize_node(content_tree(parse_envelope(body.to_bytes().decode("ascii"))))
 
 
 def edit_paragraph(browser, index, text):

@@ -1,31 +1,48 @@
-"""Zero-copy wire path: WirePlan mechanics and batched-serve identity.
+"""Zero-copy wire path: WirePlan mechanics and the one serve pipeline.
 
-The tentpole invariant: with ``enable_batched_serve`` on, the agent
-serves poll bodies assembled from shared pre-encoded buffers — and the
-bytes on the wire are *identical* to the legacy per-member str path,
-for every mix of full/delta envelopes, userActions payloads, cookies,
-and fallbacks.  These are the fixed regression cases; the random
-sweep lives in test_properties_wire.py.
+Every poll body comes from a broadcast plan: shared pre-encoded template
+buffers plus a per-member userActions splice.  Two oracles pin the bytes
+it ships:
+
+* **Golden fixtures** (``fixtures/serve_wire_golden.json``) hold the
+  exact responses, fallback stats and fallback events of the fixed cases
+  in :data:`GOLDEN_CASES`.  They were captured while the per-member
+  string serve path still existed, and checked equal to it byte for byte.
+* **The reference builder** (:func:`repro.core.xmlformat.build_envelope`)
+  must reproduce every served envelope from its parsed content, its
+  userActions must decode to the member's queued actions, and a delta
+  ships only when strictly shorter than the full envelope carrying the
+  same actions (``tests/serve_oracle.py``).
+
+The random sweep over the same oracle lives in test_properties_wire.py.
+After an intended wire-format change, rewrite the fixtures with::
+
+    PYTHONPATH=src python -m tests.test_serve_wire
 """
 
 import json
-
-import pytest
+import os
+from collections import namedtuple
 
 from repro.browser import Browser
-from repro.core import MouseMoveAction, RCBAgent
+from repro.core import FormFillAction, MouseMoveAction, RCBAgent
+from repro.core.security import HMAC_PARAM
 from repro.core.serveplan import BroadcastPlan, PlanFallback
 from repro.core.xmlformat import (
     EMPTY_ACTIONS_WIRE,
-    split_wire_template,
+    NewContent,
+    WireTemplate,
+    build_envelope,
+    parse_envelope,
     wire_delta_template,
 )
 from repro.html import Text
-from repro.http import Headers, HttpResponse, WirePlan
+from repro.http import Headers, HttpClient, HttpResponse, WirePlan
 from repro.net import LAN_PROFILE, Host, Network
 from repro.obs import DELTA_FALLBACK, EventBus
 from repro.sim import Simulator
 from repro.webserver import OriginServer, StaticSite
+from tests.serve_oracle import assert_reference_envelope
 
 PAGE = (
     "<html><head><title>Wire test</title><meta charset='utf-8'></head>"
@@ -35,8 +52,12 @@ PAGE = (
     + "</body></html>"
 )
 
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "fixtures", "serve_wire_golden.json"
+)
 
-def build_agent(batched, **agent_kwargs):
+
+def build_agent(**agent_kwargs):
     sim = Simulator()
     network = Network(sim)
     site = StaticSite("site.com")
@@ -45,7 +66,7 @@ def build_agent(batched, **agent_kwargs):
     OriginServer(network, "site.com", site.handle)
     host_pc = Host(network, "host-pc", LAN_PROFILE, segment="campus")
     browser = Browser(host_pc, name="host")
-    agent = RCBAgent(enable_batched_serve=batched, **agent_kwargs)
+    agent = RCBAgent(**agent_kwargs)
     agent.install(browser)
     sim.run_until_complete(sim.process(browser.navigate("http://site.com/")))
     return sim, browser, agent
@@ -60,13 +81,279 @@ def edit_headline(browser, text):
     browser.mutate_document(mutate)
 
 
+def rewrite_everything(document):
+    body = document.body
+    for child in list(body.children):
+        body.remove_child(child)
+    for i in range(40):
+        body.append_child(document.create_element("div", id="new-%d" % i))
+
+
 def body_bytes(agent, participant, their_time, actions, force_full=False):
-    """Serve one poll body through either pipeline; contiguous bytes."""
+    """Serve one poll body; ``(response bytes, is_delta, response)``."""
     body, is_delta = agent._serve_body(
         participant, their_time, actions, force_full=force_full
     )
     response = agent._respond(body)
     return response.to_bytes(), is_delta, response
+
+
+#: One logged response: the whole HTTP message (``wire``) or, for polls
+#: that crossed the simulated network, just its body; plus what the
+#: oracle needs to check the envelope body.
+Served = namedtuple("Served", "label is_delta wire body actions full_body")
+
+
+class Playback:
+    """One fixed case: a host agent on :data:`PAGE` plus a log of every
+    response it served and every delta fallback it emitted."""
+
+    def __init__(self, **agent_kwargs):
+        self.events = EventBus()
+        self.sim, self.browser, self.agent = build_agent(
+            events=self.events, **agent_kwargs
+        )
+        self.fallbacks = []
+        self.events.subscribe(
+            lambda e: self.fallbacks.append(e) if e.type == DELTA_FALLBACK else None
+        )
+        self.served = []
+
+    def serve(self, member, their_time, actions=(), force_full=False):
+        """Serve one poll body directly; log the whole HTTP response."""
+        actions = list(actions)
+        wire, is_delta, response = body_bytes(
+            self.agent, member, their_time, actions, force_full=force_full
+        )
+        full_body = self._full_body(member) if is_delta else None
+        self.served.append(Served(member, is_delta, wire, response.body, actions, full_body))
+        return response, is_delta
+
+    def log_body(self, member, label, body):
+        """Log a body that crossed the simulated network."""
+        is_delta = parse_envelope(body.decode("ascii")).is_delta
+        full_body = self._full_body(member) if is_delta else None
+        self.served.append(Served(label, is_delta, body, body, [], full_body))
+
+    def _full_body(self, member):
+        """The member's full envelope at the current document state."""
+        full, _ = self.agent._serve_body(member, 0, [])
+        return self.agent._respond(full).body
+
+    def client(self, name):
+        network = self.browser.host.network
+        return HttpClient(Host(network, name, LAN_PROFILE, segment="campus"))
+
+    def record(self):
+        """The JSON-able record the golden fixture stores."""
+        return {
+            "served": [
+                {"label": s.label, "is_delta": s.is_delta, "wire": s.wire.decode("ascii")}
+                for s in self.served
+            ],
+            "stats": {
+                key: self.agent.stats[key]
+                for key in ("delta_fallbacks", "delta_bytes_saved")
+            },
+            "fallbacks": [
+                [e.data["participant"], e.data["reason"], e.data["base_time"]]
+                for e in self.fallbacks
+            ],
+        }
+
+
+def poll_payload(member, their_time, transport=None):
+    payload = {"participant": member, "timestamp": their_time, "actions": []}
+    if transport is not None:
+        payload["transport"] = transport
+    return json.dumps(payload).encode()
+
+
+GOLDEN_CASES = {}
+
+
+def golden(case):
+    GOLDEN_CASES[case.__name__] = case
+    return case
+
+
+@golden
+def full_envelope_no_actions():
+    play = Playback()
+    play.serve("alice", 0)
+    return play
+
+
+@golden
+def full_envelope_and_actions():
+    play = Playback()
+    play.serve("alice", 0, [MouseMoveAction(5, 9), MouseMoveAction(1, 2)])
+    return play
+
+
+@golden
+def delta_envelope_after_edit():
+    play = Playback()
+    base = play.agent.doc_time
+    # Serve once at the base state so it enters the snapshot ring.
+    play.serve("alice", 0)
+    edit_headline(play.browser, "updated")
+    play.serve("alice", base, [MouseMoveAction(3, 4)])
+    return play
+
+
+@golden
+def broadcast_shared_actions():
+    play = Playback()
+    base = play.agent.doc_time
+    play.serve("m1", 0)
+    edit_headline(play.browser, "tick")
+    shared = [MouseMoveAction(7, 7)]
+    for member in ("m0", "m1", "m2", "m3"):
+        play.serve(member, 0 if member in ("m0", "m2") else base, shared)
+    return play
+
+
+@golden
+def no_snapshot_fallback():
+    play = Playback()
+    # their_time=999 was never snapshotted: full envelope, and one
+    # DELTA_FALLBACK per serve.
+    for member in ("m0", "m1"):
+        play.serve(member, 999)
+    return play
+
+
+@golden
+def oversize_fallback():
+    play = Playback()
+    base = play.agent.doc_time
+    play.serve("alice", 0)
+    play.browser.mutate_document(rewrite_everything)
+    play.serve("alice", base)
+    return play
+
+
+@golden
+def cookie_replication():
+    play = Playback(replicate_cookies=True)
+    play.browser.cookie_jar.set("site.com", "sid", "s3cr3t")
+    edit_headline(play.browser, "with-cookies")
+    play.serve("alice", 0)
+    return play
+
+
+@golden
+def always_resend_force_full():
+    play = Playback()
+    play.serve("alice", play.agent.doc_time, [MouseMoveAction(1, 1)], force_full=True)
+    return play
+
+
+@golden
+def hmac_signed_object_urls():
+    play = Playback(secret="golden-secret")
+    base = play.agent.doc_time
+    play.serve("alice", 0, [FormFillAction("f", {"q": "signed"})])
+    edit_headline(play.browser, "signed edit")
+    play.serve("alice", base)
+    return play
+
+
+@golden
+def poll_sequence():
+    play = Playback()
+    members = ["m%d" % i for i in range(6)]
+    acked = {m: 0 for m in members}
+    for tick in range(4):
+        edit_headline(play.browser, "tick-%d" % tick)
+        shared = [MouseMoveAction(tick, tick)]
+        for index, member in enumerate(members):
+            play.serve(member, acked[member], shared if index % 2 == 0 else [])
+            if index % 3 != 2:  # stragglers never ack
+                acked[member] = play.agent.doc_time
+    return play
+
+
+@golden
+def poll_over_http():
+    play = Playback()
+    edit_headline(play.browser, "wire-check")
+    client = play.client("part-pc")
+
+    def poll():
+        return (
+            yield from client.post(
+                "http://host-pc:3000/poll", body=poll_payload("alice", 0)
+            )
+        )
+
+    response = play.sim.run_until_complete(play.sim.process(poll()))
+    assert response.status == 200
+    play.log_body("alice", "alice over http", response.body)
+    return play
+
+
+@golden
+def released_hold():
+    """Two long polls parked at the base state, released by one edit."""
+    play = Playback(transport="longpoll")
+    base = play.agent.doc_time
+    # Warm the snapshot ring at the base state so the release is a delta.
+    play.serve("m0", 0)
+    clients = {member: play.client("pc-" + member) for member in ("m0", "m1")}
+    done = {}
+
+    def member_poll(member):
+        done[member] = yield from clients[member].post(
+            "http://host-pc:3000/poll", body=poll_payload(member, base, "longpoll")
+        )
+
+    for member in clients:
+        play.sim.process(member_poll(member))
+    play.sim.run(until=play.sim.now + 0.5)
+    assert not done, "nothing to send: both polls must be parked"
+    edit_headline(play.browser, "identity probe")
+    play.sim.run(until=play.sim.now + 2.0)
+    for member in ("m0", "m1"):
+        play.log_body(member, member + " released", done[member].body)
+    return play
+
+
+def play_golden(name):
+    """Play one fixed case; assert it matches its golden record and that
+    every served envelope passes the reference-builder oracle."""
+    with open(GOLDEN_PATH) as handle:
+        expected = json.load(handle)["cases"][name]
+    play = GOLDEN_CASES[name]()
+    actual = play.record()
+    assert len(actual["served"]) == len(expected["served"])
+    for index, (got, want) in enumerate(zip(actual["served"], expected["served"])):
+        assert got == want, "%s: serve %d (%s) diverged" % (name, index, want["label"])
+    assert actual["stats"] == expected["stats"]
+    assert actual["fallbacks"] == expected["fallbacks"]
+    for served in play.served:
+        assert_reference_envelope(served.body, served.actions, served.full_body)
+    return play
+
+
+def write_golden():
+    """Rewrite the fixture from the current serve pipeline."""
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(
+            {
+                "comment": (
+                    "Served responses, delta-fallback stats and fallback events "
+                    "of the fixed cases in tests/test_serve_wire.py."
+                ),
+                "cases": {name: case().record() for name, case in GOLDEN_CASES.items()},
+            },
+            handle,
+            indent=1,
+            sort_keys=True,
+        )
+        handle.write("\n")
 
 
 class TestWirePlan:
@@ -180,24 +467,17 @@ class TestConnectionSendv:
 
 
 class TestWireTemplates:
-    def test_split_wire_template_round_trips(self):
-        _sim, _browser, agent = build_agent(False)
-        xml = agent._ensure_generated("alice")
-        template = split_wire_template(xml)
-        assert template is not None
+    def test_envelope_template_round_trips(self):
+        _sim, _browser, agent = build_agent()
+        template = agent._ensure_generated("alice")
+        assert isinstance(template, WireTemplate)
         joined = (
-            b"".join(bytes(b) for b in template.pre)
-            + EMPTY_ACTIONS_WIRE
-            + b"".join(bytes(b) for b in template.post)
+            b"".join(template.pre) + EMPTY_ACTIONS_WIRE + b"".join(template.post)
         )
-        assert joined == xml.encode("utf-8")
-
-    def test_split_wire_template_none_without_user_actions(self):
-        assert split_wire_template("<newContent></newContent>") is None
+        assert_reference_envelope(joined, [])
+        assert agent._wire_templates == {agent.cache_policy.mode_key("alice"): template}
 
     def test_delta_template_matches_legacy_builder(self):
-        from repro.core.xmlformat import NewContent, build_envelope
-
         ops_json = json.dumps([{"op": "text", "sec": "body", "path": [0], "data": "x"}])
         content = NewContent(
             7, user_actions_json="[]", base_time=3, delta_ops_json=ops_json
@@ -210,190 +490,68 @@ class TestWireTemplates:
 
 
 class TestBatchedByteIdentity:
-    """Legacy and batched pipelines must emit identical bytes."""
-
-    def pair(self, **kwargs):
-        _siml, browser_l, agent_l = build_agent(False, **kwargs)
-        _simb, browser_b, agent_b = build_agent(True, **kwargs)
-        assert agent_l.doc_time == agent_b.doc_time
-        return browser_l, agent_l, browser_b, agent_b
+    """The broadcast-plan pipeline serves exactly the golden bytes."""
 
     def test_full_envelope_no_actions(self):
-        _bl, agent_l, _bb, agent_b = self.pair()
-        legacy, d1, _ = body_bytes(agent_l, "alice", 0, [])
-        batched, d2, response = body_bytes(agent_b, "alice", 0, [])
-        assert legacy == batched
-        assert (d1, d2) == (False, False)
+        play = play_golden("full_envelope_no_actions")
+        assert [served.is_delta for served in play.served] == [False]
+        response, _ = play.serve("bob", 0)
         assert response.wire_plan is not None
 
     def test_full_envelope_with_actions(self):
-        _bl, agent_l, _bb, agent_b = self.pair()
-        actions = [MouseMoveAction(5, 9), MouseMoveAction(1, 2)]
-        legacy, _, _ = body_bytes(agent_l, "alice", 0, actions)
-        batched, _, _ = body_bytes(agent_b, "alice", 0, actions)
-        assert legacy == batched
+        play_golden("full_envelope_and_actions")
 
     def test_delta_envelope_after_edit(self):
-        browser_l, agent_l, browser_b, agent_b = self.pair()
-        base = agent_l.doc_time
-        # Serve once at the base state so it enters the snapshot ring.
-        body_bytes(agent_l, "alice", 0, [])
-        body_bytes(agent_b, "alice", 0, [])
-        edit_headline(browser_l, "updated")
-        edit_headline(browser_b, "updated")
-        legacy, d1, _ = body_bytes(agent_l, "alice", base, [MouseMoveAction(3, 4)])
-        batched, d2, _ = body_bytes(agent_b, "alice", base, [MouseMoveAction(3, 4)])
-        assert legacy == batched
-        assert (d1, d2) == (True, True)
+        play = play_golden("delta_envelope_after_edit")
+        assert [served.is_delta for served in play.served] == [False, True]
 
     def test_broadcast_shared_actions_identity(self):
-        browser_l, agent_l, browser_b, agent_b = self.pair()
-        base = agent_l.doc_time
-        body_bytes(agent_l, "m1", 0, [])
-        body_bytes(agent_b, "m1", 0, [])
-        edit_headline(browser_l, "tick")
-        edit_headline(browser_b, "tick")
-        shared = [MouseMoveAction(7, 7)]
-        for member in ("m0", "m1", "m2", "m3"):
-            their_time = 0 if member in ("m0", "m2") else base
-            legacy, _, _ = body_bytes(agent_l, member, their_time, shared)
-            batched, _, _ = body_bytes(agent_b, member, their_time, shared)
-            assert legacy == batched, member
+        play_golden("broadcast_shared_actions")
 
     def test_no_snapshot_fallback_identity_and_events(self):
-        events_l, events_b = EventBus(), EventBus()
-        _bl, agent_l, _bb, agent_b = None, None, None, None
-        browser_l_world = build_agent(False, events=events_l)
-        browser_b_world = build_agent(True, events=events_b)
-        agent_l, agent_b = browser_l_world[2], browser_b_world[2]
-        fallbacks_l, fallbacks_b = [], []
-        events_l.subscribe(
-            lambda e: fallbacks_l.append(e) if e.type == DELTA_FALLBACK else None
-        )
-        events_b.subscribe(
-            lambda e: fallbacks_b.append(e) if e.type == DELTA_FALLBACK else None
-        )
-        # their_time=999 was never snapshotted: both must fall back to
-        # the full envelope and emit one DELTA_FALLBACK per serve.
-        for member in ("m0", "m1"):
-            legacy, d1, _ = body_bytes(agent_l, member, 999, [])
-            batched, d2, _ = body_bytes(agent_b, member, 999, [])
-            assert legacy == batched
-            assert (d1, d2) == (False, False)
-        assert len(fallbacks_l) == len(fallbacks_b) == 2
-        assert {e.data["reason"] for e in fallbacks_b} == {"no-snapshot"}
-        assert agent_l.stats["delta_fallbacks"] == agent_b.stats["delta_fallbacks"] == 2
+        play = play_golden("no_snapshot_fallback")
+        assert [served.is_delta for served in play.served] == [False, False]
+        assert [e.data["reason"] for e in play.fallbacks] == ["no-snapshot"] * 2
+        assert play.agent.stats["delta_fallbacks"] == 2
 
     def test_oversize_fallback_identity(self):
-        browser_l, agent_l, browser_b, agent_b = self.pair()
-        base = agent_l.doc_time
-        body_bytes(agent_l, "alice", 0, [])
-        body_bytes(agent_b, "alice", 0, [])
-
-        def rewrite_everything(document):
-            body = document.body
-            for child in list(body.children):
-                body.remove_child(child)
-            for i in range(40):
-                body.append_child(
-                    document.create_element("div", id="new-%d" % i)
-                )
-
-        browser_l.mutate_document(rewrite_everything)
-        browser_b.mutate_document(rewrite_everything)
-        legacy, d1, _ = body_bytes(agent_l, "alice", base, [])
-        batched, d2, _ = body_bytes(agent_b, "alice", base, [])
-        assert legacy == batched
-        assert d1 == d2  # same full-vs-delta verdict from both pipelines
-        assert (
-            agent_l.stats["delta_fallbacks"] == agent_b.stats["delta_fallbacks"]
-        )
+        play = play_golden("oversize_fallback")
+        assert [e.data["reason"] for e in play.fallbacks] == ["oversize"]
+        (event,) = play.fallbacks
+        assert event.data["delta_bytes"] >= event.data["full_bytes"]
 
     def test_cookie_replication_identity(self):
-        browser_l, agent_l, browser_b, agent_b = self.pair(replicate_cookies=True)
-        for browser in (browser_l, browser_b):
-            browser.cookie_jar.set("site.com", "sid", "s3cr3t")
-        edit_headline(browser_l, "with-cookies")
-        edit_headline(browser_b, "with-cookies")
-        legacy, _, _ = body_bytes(agent_l, "alice", 0, [])
-        batched, _, _ = body_bytes(agent_b, "alice", 0, [])
-        assert legacy == batched
-        assert b"docCookies" in batched
+        play = play_golden("cookie_replication")
+        assert b"docCookies" in play.served[0].body
 
     def test_always_resend_force_full_identity(self):
-        _bl, agent_l, _bb, agent_b = self.pair()
-        current = agent_l.doc_time
-        legacy, _, _ = body_bytes(
-            agent_l, "alice", current, [MouseMoveAction(1, 1)], force_full=True
-        )
-        batched, _, _ = body_bytes(
-            agent_b, "alice", current, [MouseMoveAction(1, 1)], force_full=True
-        )
-        assert legacy == batched
+        play = play_golden("always_resend_force_full")
+        assert [served.is_delta for served in play.served] == [False]
+
+    def test_hmac_signed_object_urls(self):
+        play = play_golden("hmac_signed_object_urls")
+        assert HMAC_PARAM.encode("ascii") in play.served[0].body
 
     def test_stats_parity_over_poll_sequence(self):
-        browser_l, agent_l, browser_b, agent_b = self.pair()
-        members = ["m%d" % i for i in range(6)]
-        acked = {m: 0 for m in members}
-        for tick in range(4):
-            edit_headline(browser_l, "tick-%d" % tick)
-            edit_headline(browser_b, "tick-%d" % tick)
-            shared = [MouseMoveAction(tick, tick)]
-            for index, member in enumerate(members):
-                their_time = acked[member]
-                actions = shared if index % 2 == 0 else []
-                legacy, _, _ = body_bytes(agent_l, member, their_time, actions)
-                batched, _, _ = body_bytes(agent_b, member, their_time, actions)
-                assert legacy == batched
-                if index % 3 != 2:  # stragglers never ack
-                    acked[member] = agent_l.doc_time
-        for key in ("delta_fallbacks", "delta_bytes_saved"):
-            assert agent_l.stats[key] == agent_b.stats[key], key
+        play = play_golden("poll_sequence")
+        assert any(served.is_delta for served in play.served)
+        assert play.agent.stats["delta_bytes_saved"] > 0
 
     def test_batched_instruments_progress(self):
-        browser_b, agent_b = build_agent(True)[1:]
-        edit_headline(browser_b, "tick")
+        _sim, browser, agent = build_agent()
+        edit_headline(browser, "tick")
         for member in ("m0", "m1", "m2"):
-            body_bytes(agent_b, member, 0, [])
-        stats = agent_b.stats
+            body_bytes(agent, member, 0, [])
+        stats = agent.stats
         assert stats["serve_plans_built"] >= 1
         assert stats["serve_batched_polls"] >= 2
         assert stats["wire_bytes_zero_copy"] > 0
         assert stats["serve_amortization"] > 1.0
 
 
-class TestLegacyToggle:
-    def test_disabled_agent_serves_str_path(self):
-        _sim, browser, agent = build_agent(False)
-        edit_headline(browser, "x")
-        body, _ = agent._serve_body("alice", 0, [])
-        assert isinstance(body, str)
-        response = agent._respond(body)
-        assert response.wire_plan is None
-        assert agent._wire_templates == {}
-        assert agent._plans == {}
-        assert agent.stats["serve_plans_built"] == 0
-
-    def test_disabled_generator_skips_segment_encoding(self):
-        _sim, _browser, agent = build_agent(False)
-        agent._ensure_generated("alice")
-        # Legacy path never asks for segment bytes.
-        assert agent._wire_templates == {}
-
-    def test_mid_session_toggle_still_serves_identical_bytes(self):
-        _siml, browser_l, agent_l = build_agent(False)
-        _simb, browser_b, agent_b = build_agent(False)
-        edit_headline(browser_l, "flip")
-        edit_headline(browser_b, "flip")
-        agent_b.enable_batched_serve = True  # no segment bytes cached yet
-        legacy, _, _ = body_bytes(agent_l, "alice", 0, [])
-        batched, _, response = body_bytes(agent_b, "alice", 0, [])
-        assert legacy == batched
-
-
 class TestPlanFallbackMemo:
     def test_fallback_is_remembered_not_rediffed(self):
-        _sim, browser, agent = build_agent(True)
+        _sim, browser, agent = build_agent()
         edit_headline(browser, "x")
         agent._serve_body("m0", 999, [])
         mode_key = agent.cache_policy.mode_key("m0")
@@ -409,72 +567,30 @@ class TestPlanFallbackMemo:
 
 class TestServeOverHttp:
     def test_poll_over_wire_parses_and_matches_legacy(self):
-        from repro.core import parse_envelope
-        from repro.http import HttpClient
-
-        responses = {}
-        for batched in (False, True):
-            sim, browser, agent = build_agent(batched)
-            edit_headline(browser, "wire-check")
-            part = Host(
-                browser.host.network, "part-pc-%d" % batched, LAN_PROFILE,
-                segment="campus",
-            )
-            client = HttpClient(part)
-            payload = json.dumps(
-                {"participant": "alice", "timestamp": 0, "actions": []}
-            ).encode()
-
-            def poll():
-                return (
-                    yield from client.post("http://host-pc:3000/poll", body=payload)
-                )
-
-            response = sim.run_until_complete(sim.process(poll()))
-            assert response.status == 200
-            responses[batched] = response
-        assert responses[True].body == responses[False].body
-        envelope = parse_envelope(responses[True].text())
+        play = play_golden("poll_over_http")
+        envelope = parse_envelope(play.served[0].body.decode("ascii"))
         assert envelope.doc_time > 0
 
 
 class TestHeldPollBroadcastPlan:
     """A long poll released by a document change joins that tick's
-    broadcast plan: identical bytes to a direct serve, batched-serve
+    broadcast plan: the golden bytes of a direct serve, batched-serve
     counters advancing, and shared segments carried zero-copy."""
 
-    def _world(self, batched):
-        sim, browser, agent = build_agent(batched, transport="longpoll")
-        clients = {}
-        for member in ("m0", "m1"):
-            pc = Host(
-                browser.host.network, "pc-%s-%d" % (member, batched),
-                LAN_PROFILE, segment="campus",
-            )
-            from repro.http import HttpClient
-
-            clients[member] = HttpClient(pc)
-        return sim, browser, agent, clients
-
-    def _poll(self, client, member, their_time):
-        payload = json.dumps(
-            {
-                "participant": member,
-                "timestamp": their_time,
-                "actions": [],
-                "transport": "longpoll",
-            }
-        ).encode()
-        return client.post("http://host-pc:3000/poll", body=payload)
-
     def test_released_holds_join_the_tick_plan(self):
-        sim, browser, agent, clients = self._world(batched=True)
+        sim, browser, agent = build_agent(transport="longpoll")
         base = agent.doc_time
         done = {}
+        network = browser.host.network
+        clients = {
+            member: HttpClient(Host(network, "pc-" + member, LAN_PROFILE, segment="campus"))
+            for member in ("m0", "m1")
+        }
 
         def member_poll(member):
-            response = yield from self._poll(clients[member], member, base)
-            done[member] = response
+            done[member] = yield from clients[member].post(
+                "http://host-pc:3000/poll", body=poll_payload(member, base, "longpoll")
+            )
 
         for member in clients:
             sim.process(member_poll(member))
@@ -495,35 +611,13 @@ class TestHeldPollBroadcastPlan:
         assert agent.stats["held_polls_open"] == 0
 
     def test_released_hold_bytes_match_direct_serve(self):
-        """The body a released hold ships is byte-for-byte what the
-        legacy str pipeline would serve for the same (member, base)."""
-        bodies = {}
-        for batched in (False, True):
-            sim, browser, agent, clients = self._world(batched)
-            base = agent.doc_time
-            done = {}
-            # Warm the snapshot ring at the base state so the post-edit
-            # serve is a delta on both sides.
-            agent._serve_body("m0", 0, [])
+        """The body a released hold ships is byte for byte the golden
+        body, captured where the per-member string pipeline served the
+        same delta directly."""
+        play = play_golden("released_hold")
+        released = [served for served in play.served if "released" in served.label]
+        assert [served.is_delta for served in released] == [True, True]
 
-            def member_poll(member):
-                response = yield from self._poll(clients[member], member, base)
-                done[member] = response
 
-            if batched:
-                # Held exchange over the wire through the plan pipeline.
-                for member in clients:
-                    sim.process(member_poll(member))
-                sim.run(until=sim.now + 0.5)
-                edit_headline(browser, "identity probe")
-                sim.run(until=sim.now + 2.0)
-                bodies[batched] = done["m0"].body
-            else:
-                # Direct legacy serve of the same delta, with the clock
-                # advanced identically so doc_time stamps agree.
-                sim.run(until=sim.now + 0.5)
-                edit_headline(browser, "identity probe")
-                raw, is_delta = agent._serve_body("m0", base, [])
-                assert is_delta
-                bodies[batched] = agent._respond(raw).body
-        assert bodies[True] == bodies[False]
+if __name__ == "__main__":
+    write_golden()

@@ -60,7 +60,7 @@ class TestSoakSession:
         _testbed, session, _report = self.run_soak(seed=44, length=60)
         agent = session.agent
         # Only the current document state's envelopes are retained.
-        assert len(agent._generated_xml) <= 1
+        assert len(agent._wire_templates) <= 1
         for state in agent.participants.values():
             assert state.outbound_actions == []
         assert agent.pending_actions == []
