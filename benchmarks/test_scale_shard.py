@@ -10,8 +10,11 @@ claims the pool makes at fleet scale:
   with each instance's serve work timed in isolation (one CPU hosts the
   whole sim, so per-instance CPU time *is* that host's wall time; the
   fleet finishes when its slowest host does).  Aggregate throughput =
-  total serves / bottleneck-instance time; 8 shards must clear 3x the
-  single-agent baseline (floor ``shard-scale-n1k``).
+  total serves / bottleneck-instance time, measured apart for the join
+  round (every member new to its shard) and the known-member round (the
+  same members again); in each, 8 shards must clear 3x the single-agent
+  baseline (floors ``shard-scale-join-n1k`` and
+  ``shard-scale-known-n1k``).
 * **Coherence under churn** — the full fleet polling through the
   directory with seeded member churn plus a flash-crowd join; p99
   client staleness stays inside the ``staleness_p95`` SLO rule's breach
@@ -49,7 +52,10 @@ from conftest import write_result
 
 N = int(os.environ.get("RCB_SCALE_MEMBERS", "10000"))
 SHARD_COUNTS = (1, 4, 8, 16)
-POLLS_PER_MEMBER = 2
+#: The curve's poll rounds, one resync poll per member each, timed
+#: apart: "join" finds every member new to its shard, "known" polls the
+#: same members again.
+ROUNDS = ("join", "known")
 #: Half a second keeps the two stacked poll hops (member -> shard ->
 #: root) well inside the staleness SLO's 5 s breach threshold.
 POLL_INTERVAL = 0.5
@@ -119,9 +125,30 @@ def _p99(values):
 # -- phase 1: the serve-throughput scaling curve --------------------------------------
 
 
+def _timed_round(sim, agent, assigned):
+    """CPU seconds one instance spends serving one resync poll from each
+    of its ``assigned`` members."""
+
+    def drive():
+        for pid in assigned:
+            request = HttpRequest("POST", "/poll", None, poll_payload(pid, 0))
+            response = yield from agent._poll_response(request, pid)
+            assert _DOC_TIME.search(response.body)
+
+    gc.collect()
+    gc.disable()
+    try:
+        started = time.process_time()
+        sim.run_until_complete(sim.process(drive()))
+        return time.process_time() - started
+    finally:
+        gc.enable()
+
+
 def _measure_curve():
-    """Aggregate resync-serve throughput for each shard count."""
-    curve = {}
+    """Aggregate resync-serve throughput per shard count, one curve per
+    round in :data:`ROUNDS`, each with its own bottleneck instance."""
+    curves = {name: {} for name in ROUNDS}
     for shards in SHARD_COUNTS:
         sim, host, session, pool = build_pool(shards)
         members = ["m%05d" % i for i in range(N)]
@@ -129,46 +156,27 @@ def _measure_curve():
         for pid in members:
             per_instance.setdefault(pool.directory.place(pid), []).append(pid)
 
-        serves = 0
-        slowest = 0.0
+        slowest = dict.fromkeys(ROUNDS, 0.0)
         for instance in sorted(per_instance):
-            agent = pool.agent_of(instance)
-            assigned = per_instance[instance]
-
-            def drive(agent=agent, assigned=assigned):
-                for _round in range(POLLS_PER_MEMBER):
-                    for pid in assigned:
-                        request = HttpRequest(
-                            "POST", "/poll", None, poll_payload(pid, 0)
-                        )
-                        response = yield from agent._poll_response(request, pid)
-                        assert _DOC_TIME.search(response.body)
-
             # Each instance is its own host: time its serve work alone.
-            gc.collect()
-            gc.disable()
-            try:
-                started = time.process_time()
-                sim.run_until_complete(sim.process(drive()))
-                elapsed = time.process_time() - started
-            finally:
-                gc.enable()
-            serves += POLLS_PER_MEMBER * len(assigned)
-            slowest = max(slowest, elapsed)
+            agent = pool.agent_of(instance)
+            for name in ROUNDS:
+                elapsed = _timed_round(sim, agent, per_instance[instance])
+                slowest[name] = max(slowest[name], elapsed)
         session.close()
-        curve[shards] = {
-            "shards": shards,
-            "members": N,
-            "serves": serves,
-            "bottleneck_s": round(slowest, 4),
-            "aggregate_serves_per_s": round(serves / slowest, 1),
-        }
-    baseline = curve[1]["aggregate_serves_per_s"]
-    for shards in SHARD_COUNTS:
-        curve[shards]["speedup_vs_1"] = round(
-            curve[shards]["aggregate_serves_per_s"] / baseline, 2
-        )
-    return curve
+        for name in ROUNDS:
+            curves[name][shards] = {
+                "shards": shards,
+                "members": N,
+                "serves": N,
+                "bottleneck_s": round(slowest[name], 4),
+                "aggregate_serves_per_s": round(N / slowest[name], 1),
+            }
+    for curve in curves.values():
+        baseline = curve[1]["aggregate_serves_per_s"]
+        for point in curve.values():
+            point["speedup_vs_1"] = round(point["aggregate_serves_per_s"] / baseline, 2)
+    return curves
 
 
 # -- phase 2: churn + flash-crowd coherence -------------------------------------------
@@ -356,33 +364,36 @@ def test_shard_scaling_curve(benchmark, results_dir):
     results = {}
 
     def run_all():
-        results["curve"] = _measure_curve()
+        results["curves"] = _measure_curve()
         results["churn"] = _measure_churn()
         results["failover"] = _measure_failover()
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    curve = results["curve"]
+    curves = results["curves"]
     churn = results["churn"]
     failover = results["failover"]
     breach_ms = default_rules()[0].breach
 
     rows = [
-        "Sharded serve scaling (N=%d members, %d resync polls each)"
-        % (N, POLLS_PER_MEMBER)
+        "Sharded serve scaling (N=%d members; rounds timed apart, one resync "
+        "poll per member each: join = every member new to its shard, "
+        "known = the same members again)" % N
     ]
-    for shards in SHARD_COUNTS:
-        point = curve[shards]
-        rows.append(
-            "%2d shards: %10.1f serves/s aggregate (%.2fx vs 1 shard, "
-            "bottleneck %.3fs)"
-            % (
-                shards,
-                point["aggregate_serves_per_s"],
-                point["speedup_vs_1"],
-                point["bottleneck_s"],
+    for name in ROUNDS:
+        for shards in SHARD_COUNTS:
+            point = curves[name][shards]
+            rows.append(
+                "%-5s round %2d shards: %10.1f serves/s aggregate (%.2fx vs 1 "
+                "shard, bottleneck %.3fs)"
+                % (
+                    name,
+                    shards,
+                    point["aggregate_serves_per_s"],
+                    point["speedup_vs_1"],
+                    point["bottleneck_s"],
+                )
             )
-        )
     rows.append(
         "churn+flash-crowd staleness p99: %.1f ms over %d samples "
         "(SLO staleness_p95 breach at %.0f ms, peak %d active)"
@@ -411,11 +422,14 @@ def test_shard_scaling_curve(benchmark, results_dir):
             {
                 "config": {
                     "members": N,
-                    "polls_per_member": POLLS_PER_MEMBER,
+                    "rounds": list(ROUNDS),
                     "shard_counts": list(SHARD_COUNTS),
                     "seed": SEED,
                 },
-                "curve": [curve[shards] for shards in SHARD_COUNTS],
+                "curves": {
+                    name: [curves[name][shards] for shards in SHARD_COUNTS]
+                    for name in ROUNDS
+                },
                 "churn": churn,
                 "failover": failover,
             },
@@ -424,10 +438,13 @@ def test_shard_scaling_curve(benchmark, results_dir):
         ),
     )
 
-    # Near-linear scaling: 8 shards clear 3x one agent (the CI floor
-    # ``shard-scale-n1k`` re-checks this from the written artifact).
-    assert curve[8]["speedup_vs_1"] >= 3.0, curve
-    assert curve[4]["speedup_vs_1"] > curve[1]["speedup_vs_1"]
+    # Near-linear scaling in both rounds: 8 shards clear 3x one agent
+    # (the CI floors ``shard-scale-join-n1k`` / ``shard-scale-known-n1k``
+    # re-check this from the written artifact).
+    for name in ROUNDS:
+        curve = curves[name]
+        assert curve[8]["speedup_vs_1"] >= 3.0, (name, curve)
+        assert curve[4]["speedup_vs_1"] > curve[1]["speedup_vs_1"], (name, curve)
     # Coherence: p99 staleness inside the SLO rule's breach threshold.
     assert churn["staleness_p99_ms"] <= breach_ms, churn
     # Failover: everyone on the dead shard re-attached to the promoted

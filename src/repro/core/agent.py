@@ -115,8 +115,10 @@ class ParticipantState:
         self.outbound_actions: List[UserAction] = []
         #: Events releasing this member's held poll early (queued
         #: outbound actions, transport switches) — doc-time advances
-        #: release every held poll through the agent's global list.
-        self.wake_events: List = []
+        #: release every held poll through the agent's global table.
+        #: Insertion-ordered keys (values unused): a hold removes its
+        #: own entry in O(1) however it ends.
+        self.wake_events: Dict = {}
 
     def __repr__(self):
         return "ParticipantState(%s, %d polls)" % (self.participant_id, self.polls)
@@ -199,7 +201,10 @@ class RCBAgent(BrowserExtension):
         self.enable_delta = enable_delta
         #: How many distinct document states the snapshot ring retains.
         self.delta_history = delta_history
-        self._change_waiters: List = []
+        #: Held polls' wake events, released together on the next
+        #: document change (same insertion-ordered-keys shape as
+        #: ``ParticipantState.wake_events``).
+        self._change_waiters: Dict = {}
 
         self.generator = ContentGenerator(AGENT_OBJECT_PATH)
         self.participants: Dict[str, ParticipantState] = {}
@@ -381,7 +386,7 @@ class RCBAgent(BrowserExtension):
         if value <= self._doc_time:
             return
         self._doc_time = value
-        waiters, self._change_waiters = self._change_waiters, []
+        waiters, self._change_waiters = self._change_waiters, {}
         for waiter in waiters:
             if not waiter.triggered:
                 waiter.succeed()
@@ -480,7 +485,7 @@ class RCBAgent(BrowserExtension):
         transport switch)."""
         if not state.wake_events:
             return
-        events, state.wake_events = state.wake_events, []
+        events, state.wake_events = state.wake_events, {}
         for event in events:
             if not event.triggered:
                 event.succeed()
@@ -748,8 +753,8 @@ class RCBAgent(BrowserExtension):
         sim = self.browser.sim
         start = sim.now
         waiter = sim.event()
-        self._change_waiters.append(waiter)
-        participant.wake_events.append(waiter)
+        self._change_waiters[waiter] = None
+        participant.wake_events[waiter] = None
         self._held_open += 1
         self.stats.set("held_polls_open", self._held_open)
         try:
@@ -757,12 +762,10 @@ class RCBAgent(BrowserExtension):
         finally:
             self._held_open -= 1
             self.stats.set("held_polls_open", self._held_open)
-            if not waiter.triggered:
-                # Timed out: drop the dangling waiter registrations.
-                if waiter in self._change_waiters:
-                    self._change_waiters.remove(waiter)
-                if waiter in participant.wake_events:
-                    participant.wake_events.remove(waiter)
+            # A document change or member wake clears only its own
+            # table, a timeout neither: drop both registrations.
+            self._change_waiters.pop(waiter, None)
+            participant.wake_events.pop(waiter, None)
         return (start, sim.now)
 
     def _stream_push(self, participant, their_time, transport, arrived):
@@ -922,9 +925,7 @@ class RCBAgent(BrowserExtension):
             self._emit(
                 MEMBER_JOIN, participant=participant_id, members=len(self.participants)
             )
-            self.browser.observers.notify(TOPIC_ROSTER_CHANGED, self.roster())
-            if self.announce_presence:
-                self.broadcast_action(PresenceAction(self.roster()))
+            self._announce_roster()
         return state
 
     def roster(self) -> List[str]:
@@ -940,9 +941,21 @@ class RCBAgent(BrowserExtension):
             self._emit(
                 MEMBER_LEAVE, participant=participant_id, members=len(self.participants)
             )
-            self.browser.observers.notify(TOPIC_ROSTER_CHANGED, self.roster())
-            if self.announce_presence:
-                self.broadcast_action(PresenceAction(self.roster()))
+            self._announce_roster()
+
+    def _announce_roster(self) -> None:
+        """Hand a membership change to its readers: ``TOPIC_ROSTER_CHANGED``
+        observers and, with ``announce_presence``, every member.  The
+        sorted roster costs O(N log N), so it is built once per change
+        and only when one of them reads it — with neither, a join or
+        leave stays O(1)."""
+        observers = self.browser.observers
+        if not (self.announce_presence or observers.observer_count(TOPIC_ROSTER_CHANGED)):
+            return
+        roster = self.roster()
+        observers.notify(TOPIC_ROSTER_CHANGED, roster)
+        if self.announce_presence:
+            self.broadcast_action(PresenceAction(roster))
 
     # -- content generation & reuse ------------------------------------------------------------
 

@@ -349,6 +349,72 @@ class TestRosterAndReuse:
         assert events == [["alice"], ["alice", "carol"]]
         agent.disconnect("alice")
         assert agent.roster() == ["carol"]
+        assert events == [["alice"], ["alice", "carol"], ["carol"]]
+
+    @staticmethod
+    def count_roster_builds(agent):
+        builds = []
+        roster = agent.roster
+
+        def counting_roster():
+            builds.append(len(agent.participants))
+            return roster()
+
+        agent.roster = counting_roster
+        return builds
+
+    def test_membership_changes_without_readers_build_no_roster(self):
+        """No roster observer and presence off: joins and a leave never
+        sort the roster, so membership bookkeeping stays O(1)."""
+        sim, host_browser, agent, client = build_world()
+        assert host_browser.observers.observer_count(TOPIC_ROSTER_CHANGED) == 0
+        assert not agent.announce_presence
+        builds = self.count_roster_builds(agent)
+        members = ["m%02d" % index for index in range(50)]
+
+        def scenario():
+            for member in members:
+                yield from client.post(
+                    "http://host-pc:3000/poll", poll_body(member),
+                    content_type="application/json",
+                )
+
+        run(sim, scenario())
+        agent.disconnect("m07")
+        assert len(agent.participants) == 49
+        assert builds == []
+
+    def test_readers_share_one_roster_build_per_change(self):
+        """An observer and the presence broadcast read one roster build
+        per membership change, and see the payloads in join order."""
+        sim, host_browser, agent, client = build_world({"announce_presence": True})
+        observed = []
+        host_browser.observers.add_observer(
+            TOPIC_ROSTER_CHANGED, lambda t, p: observed.append(list(p))
+        )
+        announced = []
+        broadcast = agent.broadcast_action
+
+        def recording_broadcast(action, exclude=None):
+            announced.append(action.to_dict()["participants"])
+            broadcast(action, exclude)
+
+        agent.broadcast_action = recording_broadcast
+        builds = self.count_roster_builds(agent)
+
+        def scenario():
+            for member in ("alice", "carol"):
+                yield from client.post(
+                    "http://host-pc:3000/poll", poll_body(member),
+                    content_type="application/json",
+                )
+
+        run(sim, scenario())
+        agent.disconnect("alice")
+        expected = [["alice"], ["alice", "carol"], ["carol"]]
+        assert observed == expected
+        assert announced == expected
+        assert builds == [1, 2, 1]
 
     def test_content_generated_once_for_many_participants(self):
         sim, host_browser, agent, client = build_world()

@@ -22,6 +22,7 @@ from repro.core import (
     AdaptiveTransportController,
     IntervalPollTransport,
     LongPollTransport,
+    MouseMoveAction,
     PushTransport,
     coerce_transport,
     coerce_transport_mode,
@@ -230,6 +231,47 @@ class TestNegotiation:
         seed = traffic({})  # transport unset: the seed construction
         pinned = traffic({"transport": "poll"})
         assert pinned == seed
+
+
+class TestHeldPollRegistrations:
+    """A held poll registers its waiter twice: in the agent's
+    document-change table and in its member's wake table.  However the
+    hold ends — a document change, a member wake, or the timeout — both
+    entries must go, or one table grows with every release."""
+
+    @pytest.mark.parametrize("mode", [TRANSPORT_LONGPOLL, TRANSPORT_PUSH])
+    @pytest.mark.parametrize("release", ["edit", "broadcast"])
+    def test_registrations_bounded_by_open_holds(self, mode, release):
+        sim, session, browsers = build_world(participants=3, transport=mode)
+        agent = session.agent
+        samples = []
+
+        def scenario():
+            for browser in browsers:
+                yield from session.join(browser)
+            yield from session.host_navigate("http://site.com/")
+            yield from session.wait_until_synced()
+            for tick in range(12):
+                if release == "edit":
+                    edit_paragraph(session.host_browser, tick % 8, "edit %d" % tick)
+                else:
+                    agent.broadcast_action(MouseMoveAction(tick, tick))
+                yield sim.timeout(2.0)
+                samples.append(
+                    (
+                        len(agent._change_waiters),
+                        sum(len(state.wake_events) for state in agent.participants.values()),
+                        agent.stats["held_polls_open"],
+                    )
+                )
+
+        run(sim, scenario())
+        # Every member is parked again between releases...
+        assert [held for _, _, held in samples] == [3] * len(samples)
+        # ...and neither table holds more than the open holds.
+        for change_waiters, wake_events, held in samples:
+            assert change_waiters <= held
+            assert wake_events <= held
 
 
 class _StubAgent:
