@@ -14,7 +14,8 @@ All I/O methods (``navigate``, ``click_link``, ``submit_form``,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Union
 
 from ..html import Document, Element, parse_document
 from ..http import CookieJar, Headers, HttpClient, RequestFailed, encode_form
@@ -33,16 +34,35 @@ from .page import LoadedObject, Page
 
 __all__ = ["Browser", "BrowserExtension", "NavigationError"]
 
-#: URL-bearing attributes considered supplementary objects, by tag.
-_OBJECT_SOURCES: Tuple[Tuple[str, str], ...] = (
-    ("img", "src"),
-    ("script", "src"),
-    ("frame", "src"),
-    ("iframe", "src"),
-    ("embed", "src"),
-    ("input", "src"),  # <input type=image>
-    ("body", "background"),
-)
+#: Tag -> the URL-bearing attribute that makes it a supplementary object.
+_OBJECT_SOURCES: Dict[str, str] = {
+    "img": "src",
+    "script": "src",
+    "frame": "src",
+    "iframe": "src",
+    "embed": "src",
+    "input": "src",  # only <input type=image>
+    "body": "background",
+    "link": "href",  # only stylesheet and icon links
+}
+_OBJECT_LINK_RELS = frozenset(("stylesheet", "icon", "shortcut icon"))
+#: Longer references (inline ``data:`` images, for one) are resolved
+#: without being memoized, so the memo stays bounded in bytes as well as
+#: in entries.
+_MEMO_REFERENCE_LIMIT = 2048
+
+
+@lru_cache(maxsize=4096)
+def _object_url(base_text: str, raw: str) -> Optional[str]:
+    """The absolute, fragment-free URL of object reference ``raw`` on a
+    page at ``base_text``, or None if it cannot be resolved.  URL
+    parsing and resolution are pure, so every rescan of an unchanged
+    page resolves each reference once."""
+    try:
+        absolute = resolve_url(parse_url(base_text), parse_url(raw))
+    except ValueError:  # UrlError, or a port int() rejects
+        return None
+    return str(absolute.replace(fragment=None))
 
 
 class NavigationError(Exception):
@@ -178,6 +198,8 @@ class Browser:
     def _fetch_supplementary_objects(self, page: Page):
         urls = self.discover_object_urls(page.document, page.url)
         if not urls:
+            # A rescan may find nothing where the last one found objects.
+            page.objects_load_time = 0.0
             return
         started = self.sim.now
         queue: List[str] = list(urls)
@@ -224,31 +246,30 @@ class Browser:
     @staticmethod
     def discover_object_urls(document: Document, base_url: Url) -> List[str]:
         """Absolute URLs of every supplementary object, document order."""
+        base_text = str(base_url)
         seen = set()
         urls: List[str] = []
-
-        def add(raw: Optional[str]):
+        for element in document.descendant_elements():
+            tag = element.tag
+            attribute = _OBJECT_SOURCES.get(tag)
+            if attribute is None:
+                continue
+            if tag == "input" and element.get_attribute("type") != "image":
+                continue
+            if tag == "link":
+                rel = (element.get_attribute("rel") or "").lower()
+                if rel not in _OBJECT_LINK_RELS:
+                    continue
+            raw = element.get_attribute(attribute)
             if not raw:
-                return
-            try:
-                absolute = resolve_url(base_url, parse_url(raw))
-            except Exception:
-                return
-            text = str(absolute.replace(fragment=None))
-            if text not in seen:
+                continue
+            if len(raw) <= _MEMO_REFERENCE_LIMIT:
+                text = _object_url(base_text, raw)
+            else:
+                text = _object_url.__wrapped__(base_text, raw)
+            if text is not None and text not in seen:
                 seen.add(text)
                 urls.append(text)
-
-        for element in document.descendant_elements():
-            for tag, attribute in _OBJECT_SOURCES:
-                if element.tag == tag:
-                    if tag == "input" and element.get_attribute("type") != "image":
-                        continue
-                    add(element.get_attribute(attribute))
-            if element.tag == "link":
-                rel = (element.get_attribute("rel") or "").lower()
-                if rel in ("stylesheet", "icon", "shortcut icon"):
-                    add(element.get_attribute("href"))
         return urls
 
     def back(self):

@@ -211,11 +211,14 @@ def decode_actions(text: str) -> List[UserAction]:
         return []
     try:
         items = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ActionError("bad action payload: %s" % (exc,))
-    if not isinstance(items, list):
-        raise ActionError("action payload must be a list")
-    return [UserAction.from_dict(item) for item in items]
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ActionError("action payload must be a list of objects")
+    try:
+        return [UserAction.from_dict(item) for item in items]
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. int() of a bad coordinate
+        raise ActionError("bad action field: %s" % (exc,))
 
 
 # -- stable element references --------------------------------------------------

@@ -39,6 +39,7 @@ from ..obs import RESYNC_FORCED, EventBus, MetricsRegistry, StatsFacade, Tracer
 from ..obs.trace import TRACE_HEADER, Span, SpanContext, parse_trace_header
 from ..sim import Interrupt
 from .actions import (
+    ActionError,
     ClickAction,
     FormFillAction,
     MouseMoveAction,
@@ -133,6 +134,7 @@ class SnippetStats:
     Counters: ``polls_sent``, ``empty_responses``, ``content_updates``,
     ``delta_updates`` (incremental <delta> applies), ``delta_failures``
     (forced full resyncs), ``action_only_updates``, ``actions_sent``,
+    ``actions_rejected`` (unparseable userActions payloads, dropped),
     ``connection_errors``.  Gauges: ``last_sync_seconds`` (M2, simulated
     poll-exchange time), ``last_update_seconds`` (M6, wall-clock in-place
     update), ``last_objects_seconds`` (M3/M4, simulated object
@@ -148,6 +150,7 @@ class SnippetStats:
         "delta_failures",
         "action_only_updates",
         "actions_sent",
+        "actions_rejected",
         "connection_errors",
         "transport_switches",
     )
@@ -584,7 +587,7 @@ class AjaxSnippet:
             try:
                 self._apply_delta_ops(content)
                 ok = True
-            except (DeltaError, ValueError):
+            except (DeltaError, ValueError, RecursionError):  # JSON nested too deep
                 ok = False
                 reason = "apply-failed"
             self.stats.last_update_seconds = time.perf_counter() - wall_started
@@ -724,18 +727,32 @@ class AjaxSnippet:
             return
         try:
             records = json.loads(content.cookies_json)
-        except ValueError:
+        except (ValueError, RecursionError):
+            return
+        if not isinstance(records, list):
             return
         for record in records:
+            if not isinstance(record, dict):
+                continue
+            fields = (
+                record.get("host"),
+                record.get("name"),
+                record.get("value"),
+                record.get("path", "/"),
+            )
+            if not all(isinstance(field, str) for field in fields):
+                continue
             try:
-                self.browser.cookie_jar.set(
-                    record["host"], record["name"], record["value"], record.get("path", "/")
-                )
-            except (KeyError, TypeError, ValueError):
+                self.browser.cookie_jar.set(*fields)
+            except ValueError:
                 continue
 
     def _deliver_actions(self, content: NewContent) -> None:
-        actions = decode_actions(content.user_actions_json)
+        try:
+            actions = decode_actions(content.user_actions_json)
+        except ActionError:
+            self.stats.actions_rejected += 1  # the document update stands
+            return
         if not actions:
             return
         self.stats.actions_received.extend(actions)

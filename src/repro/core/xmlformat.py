@@ -46,6 +46,7 @@ delta and resyncs with a full envelope.
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -116,53 +117,52 @@ def js_escape(text: str) -> str:
     return text.translate(_JS_ESCAPE_TABLE)
 
 
+#: Entries the unescape memo keeps at most (hostile spellings such as
+#: ``%u00e9`` beside ``%u00E9`` are decoded, just not remembered).
+_UNESCAPE_MEMO_LIMIT = 1 << 14
+
+#: One escape: a high+low surrogate pair first (so it recombines), then
+#: ``%uXXXX``, then ``%XX``.  The group makes ``split`` keep the escapes
+#: at the odd indices of its result.
+_JS_ESCAPE_RE = re.compile(
+    r"(%[uU][dD][89abAB][0-9a-fA-F]{2}%[uU][dD][c-fC-F][0-9a-fA-F]{2}"
+    r"|%[uU][0-9a-fA-F]{4}"
+    r"|%[0-9a-fA-F]{2})"
+)
+
+
+class _JsUnescapeTable(dict):
+    """Escape -> text, computed lazily and memoized per escape: the
+    mirror of :class:`_JsEscapeTable`, keyed by whole matches of
+    :data:`_JS_ESCAPE_RE`."""
+
+    def __missing__(self, escape: str) -> str:
+        if len(escape) == 12:  # %uD8xx%uDCxx: one astral character
+            high = int(escape[2:6], 16)
+            low = int(escape[8:12], 16)
+            result = chr(0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00))
+        elif len(escape) == 6:
+            result = chr(int(escape[2:], 16))
+        else:
+            result = chr(int(escape[1:], 16))
+        if len(self) < _UNESCAPE_MEMO_LIMIT:
+            self[escape] = result
+        return result
+
+
+_JS_UNESCAPE_TABLE = _JsUnescapeTable()
+
+
 def js_unescape(text: str) -> str:
     """Invert :func:`js_escape` (JavaScript ``unescape()``).
 
-    %uXXXX surrogate pairs are recombined into their astral character.
+    %uXXXX surrogate pairs are recombined into their astral character; a
+    lone surrogate, or one split from its partner by anything else,
+    decodes to itself.  A ``%`` that starts no escape stays literal.
     """
-    units: List[int] = []
-    out: List[str] = []
-
-    def flush_units():
-        while units:
-            unit = units.pop(0)
-            if 0xD800 <= unit <= 0xDBFF and units and 0xDC00 <= units[0] <= 0xDFFF:
-                low = units.pop(0)
-                out.append(chr(0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)))
-            else:
-                out.append(chr(unit))
-
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char != "%":
-            flush_units()
-            out.append(char)
-            index += 1
-            continue
-        if text[index + 1 : index + 2] in ("u", "U"):
-            hex_part = text[index + 2 : index + 6]
-            if len(hex_part) == 4 and _is_hex(hex_part):
-                units.append(int(hex_part, 16))
-                index += 6
-                continue
-        hex_part = text[index + 1 : index + 3]
-        if len(hex_part) == 2 and _is_hex(hex_part):
-            flush_units()
-            out.append(chr(int(hex_part, 16)))
-            index += 3
-            continue
-        flush_units()
-        out.append(char)
-        index += 1
-    flush_units()
-    return "".join(out)
-
-
-def _is_hex(text: str) -> bool:
-    return all(c in "0123456789abcdefABCDEF" for c in text)
+    parts = _JS_ESCAPE_RE.split(text)
+    parts[1::2] = map(_JS_UNESCAPE_TABLE.__getitem__, parts[1::2])
+    return "".join(parts)
 
 
 class HeadChild:
@@ -542,10 +542,7 @@ def parse_envelope(text: str) -> NewContent:
     """Parse Fig. 4 XML text back into a :class:`NewContent`."""
     if "<newContent>" not in text:
         raise EnvelopeError("not a newContent envelope")
-    doc_time_text = _extract(text, "docTime")
-    if doc_time_text is None or not doc_time_text.strip().lstrip("-").isdigit():
-        raise EnvelopeError("missing or bad docTime")
-    doc_time = int(doc_time_text.strip())
+    doc_time = _stamp(_extract(text, "docTime"), "missing or bad docTime")
 
     head_children: List[HeadChild] = []
     index = 1
@@ -553,13 +550,13 @@ def parse_envelope(text: str) -> NewContent:
         raw = _extract(text, "hChild%d" % index)
         if raw is None:
             break
+        where = "hChild%d" % index
         record = _decode_payload(raw)
-        try:
-            head_children.append(
-                HeadChild(record["tag"], [tuple(p) for p in record["attrs"]], record["inner"])
-            )
-        except (KeyError, TypeError) as exc:
-            raise EnvelopeError("bad hChild%d payload: %s" % (index, exc))
+        attributes, inner = _payload_fields(record, where)
+        tag = record.get("tag")
+        if not isinstance(tag, str) or not tag:
+            raise EnvelopeError("bad %s payload: tag must be a non-empty string" % where)
+        head_children.append(HeadChild(tag, attributes, inner))
         index += 1
 
     top_elements: List[TopElement] = []
@@ -567,13 +564,8 @@ def parse_envelope(text: str) -> NewContent:
         raw = _extract(text, tag)
         if raw is None:
             continue
-        record = _decode_payload(raw)
-        try:
-            top_elements.append(
-                TopElement(name, [tuple(p) for p in record["attrs"]], record["inner"])
-            )
-        except (KeyError, TypeError) as exc:
-            raise EnvelopeError("bad %s payload: %s" % (tag, exc))
+        attributes, inner = _payload_fields(_decode_payload(raw), tag)
+        top_elements.append(TopElement(name, attributes, inner))
 
     actions_raw = _extract(text, "userActions")
     actions_json = js_unescape(_strip_cdata(actions_raw)) if actions_raw else "[]"
@@ -584,10 +576,7 @@ def parse_envelope(text: str) -> NewContent:
     delta_ops_json: Optional[str] = None
     delta_raw = _extract(text, "delta")
     if delta_raw is not None:
-        base_time_text = _extract(text, "baseTime")
-        if base_time_text is None or not base_time_text.strip().lstrip("-").isdigit():
-            raise EnvelopeError("delta envelope missing or bad baseTime")
-        base_time = int(base_time_text.strip())
+        base_time = _stamp(_extract(text, "baseTime"), "delta envelope missing or bad baseTime")
         delta_ops_json = js_unescape(_strip_cdata(delta_raw))
         if head_children or top_elements:
             raise EnvelopeError("envelope carries both delta and full content")
@@ -601,6 +590,18 @@ def parse_envelope(text: str) -> NewContent:
         base_time=base_time,
         delta_ops_json=delta_ops_json,
     )
+
+
+_STAMP_RE = re.compile(r"-?[0-9]+")
+
+
+def _stamp(raw: Optional[str], problem: str) -> int:
+    """A ``docTime``/``baseTime`` value: optional minus, ASCII digits
+    only (``str.isdigit`` would pass ``²``, which ``int`` rejects)."""
+    stamp = raw.strip() if raw is not None else ""
+    if _STAMP_RE.fullmatch(stamp) is None:
+        raise EnvelopeError(problem)
+    return int(stamp)
 
 
 def _extract(text: str, tag: str) -> Optional[str]:
@@ -627,8 +628,25 @@ def _decode_payload(raw: str) -> Dict:
     decoded = js_unescape(_strip_cdata(raw))
     try:
         record = json.loads(decoded)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise EnvelopeError("payload is not valid JSON: %s" % (exc,))
     if not isinstance(record, dict):
         raise EnvelopeError("payload must be an object")
     return record
+
+
+def _payload_fields(record: Dict, where: str) -> Tuple[List[Tuple[str, str]], str]:
+    """A decoded payload's attribute pairs and innerHTML, type-checked
+    before they reach the DOM: attributes are [name, value] string pairs
+    with a non-empty name, innerHTML a string."""
+    try:
+        attributes = [tuple(pair) for pair in record["attrs"]]
+        inner = record["inner"]
+    except (KeyError, TypeError) as exc:
+        raise EnvelopeError("bad %s payload: %s" % (where, exc))
+    for pair in attributes:
+        if len(pair) != 2 or not all(isinstance(part, str) for part in pair) or not pair[0]:
+            raise EnvelopeError("bad %s payload: attribute %r" % (where, pair))
+    if not isinstance(inner, str):
+        raise EnvelopeError("bad %s payload: inner must be a string" % where)
+    return attributes, inner

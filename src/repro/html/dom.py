@@ -233,17 +233,34 @@ class _ParentNode(Node):
     # -- traversal -------------------------------------------------------------
 
     def descendants(self) -> Iterator[Node]:
-        """Depth-first pre-order traversal of all descendant nodes."""
-        for child in list(self.child_nodes):
-            yield child
-            if isinstance(child, _ParentNode):
-                yield from child.descendants()
+        """Depth-first pre-order traversal of all descendant nodes.
+
+        A node's child list is snapshotted when the walk enters it,
+        right after the node itself was yielded: children the consumer
+        adds to or detaches from that node before resuming count, later
+        changes to an entered child list do not.  The walk keeps its own
+        stack (pending nodes, next one last), so depth costs no
+        generator frames.
+        """
+        stack = self.child_nodes[::-1]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            node = pop()
+            yield node
+            if isinstance(node, _ParentNode) and node.child_nodes:
+                push(node.child_nodes[::-1])
 
     def descendant_elements(self) -> Iterator["Element"]:
-        """Depth-first pre-order traversal of descendant Elements."""
-        for node in self.descendants():
+        """Depth-first pre-order traversal of descendant Elements (the
+        walk of :meth:`descendants`, text and comments skipped)."""
+        stack = self.child_nodes[::-1]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            node = pop()
             if isinstance(node, Element):
                 yield node
+                if node.child_nodes:
+                    push(node.child_nodes[::-1])
 
     def get_elements_by_tag_name(self, tag: str) -> List["Element"]:
         """All descendant elements with the given tag, document order."""

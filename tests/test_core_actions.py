@@ -42,6 +42,22 @@ class TestActionSerialization:
         with pytest.raises(ActionError):
             decode_actions('{"kind": "click"}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100000 + "]" * 100000,  # nested past the recursion limit
+            "[1]",
+            '[["kind", "click"]]',
+            '[{"kind": "mousemove", "x": "left", "y": 0}]',
+            '[{"kind": "scroll", "offset": [1]}]',
+            '[{"kind": "scroll", "offset": 1e400}]',
+        ],
+        ids=["nested", "number", "list", "bad-int", "list-int", "infinite"],
+    )
+    def test_decode_hostile_payload_is_action_error(self, text):
+        with pytest.raises(ActionError):
+            decode_actions(text)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ActionError):
             UserAction.from_dict({"kind": "teleport"})

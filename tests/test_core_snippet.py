@@ -15,8 +15,11 @@ from repro.core import (
     PresenceAction,
     SubmitAction,
     TopElement,
+    build_envelope,
+    js_escape,
 )
-from repro.html import Element, parse_document
+from repro.html import Element, Text, parse_document
+from repro.http import HttpResponse
 from repro.net import LAN_PROFILE, Host, Network, parse_url
 from repro.sim import Simulator
 from repro.webserver import OriginServer, StaticSite
@@ -270,3 +273,180 @@ class TestActionOnlyEnvelopes:
         # The mirror arrived via an action-only envelope: no DOM churn.
         assert second_pb.page.version == version_before
         assert second.stats.action_only_updates >= 1
+
+
+def hostile_full(doc_time, body_json=None, doc_time_text=None, actions_json="[]"):
+    """A full envelope whose docBody carries ``body_json`` raw, so it can
+    hold JSON the builder would never produce."""
+    payload = body_json if body_json is not None else '{"attrs": [], "inner": "<p>ok</p>"}'
+    return (
+        "<?xml version='1.0' encoding='utf-8'?><newContent>"
+        "<docTime>%s</docTime><docContent><docHead></docHead>"
+        "<docBody><![CDATA[%s]]></docBody></docContent>"
+        "<userActions><![CDATA[%s]]></userActions></newContent>"
+        % (
+            doc_time_text if doc_time_text is not None else doc_time,
+            js_escape(payload),
+            js_escape(actions_json),
+        )
+    )
+
+
+NESTED_JSON = "[" * 100000 + "]" * 100000
+
+#: name -> (envelope factory given the snippet's doc_time, the counter
+#: that must count the reject, whether the document update still lands).
+HOSTILE_BODIES = {
+    "nested-full-payload": (
+        lambda t: hostile_full(t + 500, body_json=NESTED_JSON),
+        "empty_responses",
+        False,
+    ),
+    "nested-delta-ops": (
+        lambda t: build_envelope(
+            NewContent(t + 500, base_time=t, delta_ops_json=NESTED_JSON)
+        ),
+        "delta_failures",
+        False,
+    ),
+    "three-item-attribute": (
+        lambda t: hostile_full(t + 500, body_json='{"attrs": [["a", "b", "c"]], "inner": "x"}'),
+        "empty_responses",
+        False,
+    ),
+    "non-string-inner": (
+        lambda t: hostile_full(t + 500, body_json='{"attrs": [], "inner": 5}'),
+        "empty_responses",
+        False,
+    ),
+    "empty-attribute-name": (
+        lambda t: hostile_full(t + 500, body_json='{"attrs": [["", "x"]], "inner": "x"}'),
+        "empty_responses",
+        False,
+    ),
+    "superscript-doc-time": (
+        lambda t: hostile_full(t + 500, doc_time_text="²"),
+        "empty_responses",
+        False,
+    ),
+    "superscript-base-time": (
+        lambda t: build_envelope(
+            NewContent(t + 500, base_time=t, delta_ops_json="[]")
+        ).replace("<baseTime>%d<" % t, "<baseTime>²<"),
+        "empty_responses",
+        False,
+    ),
+    "unparseable-actions": (
+        lambda t: hostile_full(t + 500, actions_json='[{"kind": "mousemove", "x": '),
+        "actions_rejected",
+        True,
+    ),
+    "non-object-actions": (
+        lambda t: hostile_full(t + 500, actions_json="[1, [2]]"),
+        "actions_rejected",
+        True,
+    ),
+    "bad-coordinate-actions": (
+        lambda t: hostile_full(t + 500, actions_json='[{"kind": "mousemove", "x": "left"}]'),
+        "actions_rejected",
+        True,
+    ),
+}
+
+
+class TestHostileBodies:
+    """A hostile poll response ends in a counted reject; the poll loop
+    survives it and applies the next good envelope."""
+
+    def build(self):
+        sim = Simulator()
+        network = Network(sim)
+        site = StaticSite("s.com")
+        site.add_page("/", "<html><head><title>S</title></head><body><p>v1</p></body></html>")
+        OriginServer(network, "s.com", site.handle)
+        host = Browser(Host(network, "h-pc", LAN_PROFILE, segment="lan"), name="h")
+        guest = Browser(Host(network, "p-pc", LAN_PROFILE, segment="lan"), name="p")
+        session = CoBrowsingSession(host, poll_interval=0.5, transport="poll")
+        return sim, session, host, guest
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_BODIES))
+    def test_direct_feed_is_a_counted_reject(self, name):
+        make_body, counter, applies = HOSTILE_BODIES[name]
+        sim, session, host, guest = self.build()
+
+        def scenario():
+            snippet = yield from session.join(guest)
+            yield from session.host_navigate("http://s.com/")
+            yield from session.wait_until_synced()
+            before = getattr(snippet.stats, counter)
+            synced_at = snippet.last_doc_time
+            yield from snippet._process_response(make_body(synced_at), sim.now)
+            after = getattr(snippet.stats, counter)
+            return snippet, before, after, synced_at
+
+        snippet, before, after, synced_at = sim.run_until_complete(sim.process(scenario()))
+        assert after == before + 1
+        if counter == "delta_failures":
+            assert snippet.last_doc_time == 0  # resync requested
+        elif applies:
+            assert snippet.last_doc_time == synced_at + 500
+            assert guest.page.document.body.text_content == "ok"
+        else:
+            assert snippet.last_doc_time == synced_at
+        session.close()
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_BODIES))
+    def test_poll_loop_survives_and_applies_the_next_envelope(self, name):
+        make_body, counter, _applies = HOSTILE_BODIES[name]
+        sim, session, host, guest = self.build()
+        injected = []
+
+        def scenario():
+            snippet = yield from session.join(guest)
+            yield from session.host_navigate("http://s.com/")
+            yield from session.wait_until_synced()
+            client = guest.client
+            real_post = client.post
+
+            def hostile_post(*args, **kwargs):
+                response = yield from real_post(*args, **kwargs)
+                if not injected:
+                    injected.append(name)
+                    body = make_body(snippet.last_doc_time).encode("utf-8")
+                    return HttpResponse(200, body=body)
+                return response
+
+            client.post = hostile_post
+            yield sim.timeout(2.0)  # the poll loop meets the hostile body
+            host.mutate_document(lambda doc: doc.body.child_nodes[0].append_child(Text("!")))
+            yield from session.wait_until_synced()
+            return snippet
+
+        snippet = sim.run_until_complete(sim.process(scenario()))
+        assert injected == [name]
+        assert getattr(snippet.stats, counter) >= 1
+        assert snippet._poll_proc is not None and snippet._poll_proc.is_alive
+        assert snippet.last_doc_time == session.agent.doc_time
+        assert guest.page.document.body.text_content == "v1!"
+        session.close()
+
+    @pytest.mark.parametrize(
+        "cookies_json",
+        [
+            "null",
+            "5",
+            NESTED_JSON,
+            '[5, "x", [1]]',
+            '[{"host": 5, "name": "a", "value": "b"}]',
+            '[{"host": "s.com", "name": "a", "value": "b", "path": ["/"]}]',
+            '[{"host": "s.com", "name": "", "value": "b"}]',
+        ],
+        ids=["null", "number", "nested", "non-objects", "int-host", "list-path", "empty-name"],
+    )
+    def test_hostile_cookie_records_are_skipped(self, cookies_json):
+        browser, snippet = offline_snippet()
+        snippet._apply_replicated_cookies(content(cookies_json=cookies_json))
+        assert len(browser.cookie_jar) == 0
+        good = '[{"host": "s.com", "name": "a", "value": "b", "path": "/"}]'
+        snippet._apply_replicated_cookies(content(cookies_json=good))
+        assert browser.cookie_jar.get("s.com", "a") == "b"

@@ -1,8 +1,11 @@
 """Tests for js_escape/js_unescape and the Fig. 4 XML envelope."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import json
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core import xmlformat
 from repro.core import (
     EnvelopeError,
     HeadChild,
@@ -13,6 +16,7 @@ from repro.core import (
     js_unescape,
     parse_envelope,
 )
+from tests.unescape_oracle import reference_unescape
 
 
 class TestJsEscape:
@@ -47,6 +51,69 @@ class TestJsEscape:
     @given(st.text(max_size=200))
     def test_round_trip_property(self, text):
         assert js_unescape(js_escape(text)) == text
+
+
+#: Escape-heavy pieces: every character an escape is made of, surrogate
+#: halves (as hex, as whole escapes and as raw characters), non-ASCII
+#: text, and the partial escapes the decoder must leave literal.
+ESCAPE_PIECES = st.one_of(
+    st.sampled_from(list("%uU0123456789abcdefABCDEFxZ")),
+    st.sampled_from(["D8", "DB", "DC", "DF", "d83d", "DE00", "00", "41", "E9", "4E2D"]),
+    st.sampled_from(["%uD83D", "%uDE00", "%uD800", "%uDBFF", "%uDC00", "%uDFFF", "%u", "%U"]),
+    st.sampled_from(["é", "中", "😀", "\ud800", "\udc00", " ", "]]>"]),
+)
+
+
+class TestJsUnescapeOracle:
+    """The regex decoder against the frozen per-character loop."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "%uD83D%uDE00",  # a surrogate pair: one astral character
+            "%uD800",  # lone high surrogate
+            "%uDC00",  # lone low surrogate
+            "%uD83D%41%uDE00",  # a %XX between the halves keeps them apart
+            "%U0041",  # uppercase U is an escape too
+            "%u12",  # too short for %uXXXX, and "u1" is not %XX
+            "%ZZ",
+            "%",
+            "trailing %",
+            "%%41",
+            "%uD800%uD800%uDC00",  # the second high pairs with the low
+            "%uDC00%uD800",  # low then high never pair
+            "%ud83d%Ude00",  # lowercase hex and mixed u/U
+            "%E9%u4E2D%20",
+            "",
+            "no escapes at all",
+        ],
+    )
+    def test_edge_cases_match_oracle(self, text):
+        assert js_unescape(text) == reference_unescape(text)
+
+    def test_surrogate_pair_recombines(self):
+        assert js_unescape("%uD83D%uDE00") == "\U0001F600"
+        assert js_unescape("%uD83D%41%uDE00") == "\ud83dA\ude00"
+
+    @settings(max_examples=500)
+    @given(st.lists(ESCAPE_PIECES, max_size=40).map("".join))
+    @example("%uD83D%uDE00%uD800")
+    def test_matches_oracle_on_escape_heavy_text(self, text):
+        assert js_unescape(text) == reference_unescape(text)
+
+    @settings(max_examples=200)
+    @given(st.text(max_size=200))
+    def test_matches_oracle_on_escaped_text(self, text):
+        escaped = js_escape(text)
+        assert js_unescape(escaped) == reference_unescape(escaped) == text
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        table = xmlformat._JsUnescapeTable()
+        monkeypatch.setattr(xmlformat, "_JS_UNESCAPE_TABLE", table)
+        monkeypatch.setattr(xmlformat, "_UNESCAPE_MEMO_LIMIT", 64)
+        text = "".join("%%u%04x" % code for code in range(0x100, 0x300))
+        assert js_unescape(text) == reference_unescape(text)
+        assert len(table) == 64
 
 
 def sample_content():
@@ -136,6 +203,70 @@ class TestEnvelope:
     def test_unsupported_top_element_rejected(self):
         with pytest.raises(EnvelopeError):
             TopElement("div", [], "")
+
+    @pytest.mark.parametrize("stamp", ["\u00b2", "1\u00b2", "\u0663", "--5", "+5", "1_0", ""])
+    def test_doc_time_must_be_ascii_digits(self, stamp):
+        xml = build_envelope(NewContent(5)).replace("<docTime>5<", "<docTime>%s<" % stamp)
+        with pytest.raises(EnvelopeError):
+            parse_envelope(xml)
+
+    @pytest.mark.parametrize("stamp", ["\u00b2", "--5"])
+    def test_base_time_must_be_ascii_digits(self, stamp):
+        xml = build_envelope(NewContent(9, base_time=5, delta_ops_json="[]"))
+        xml = xml.replace("<baseTime>5<", "<baseTime>%s<" % stamp)
+        with pytest.raises(EnvelopeError):
+            parse_envelope(xml)
+
+    def test_signed_stamps_still_parse(self):
+        xml = build_envelope(NewContent(9, base_time=5, delta_ops_json="[]"))
+        parsed = parse_envelope(xml.replace("<baseTime>5<", "<baseTime> -5 <"))
+        assert parsed.base_time == -5
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"attrs": [["a", "b", "c"]], "inner": "x"},
+            {"attrs": [["", "x"]], "inner": "x"},
+            {"attrs": [["a", 1]], "inner": "x"},
+            {"attrs": 3, "inner": "x"},
+            {"attrs": [], "inner": 5},
+        ],
+    )
+    def test_mistyped_payload_fields_rejected(self, fields):
+        record = json.dumps(fields)
+        head = dict(fields, tag="title")
+        for section in (
+            "<docHead><hChild1><![CDATA[%s]]></hChild1></docHead>" % js_escape(json.dumps(head)),
+            "<docHead></docHead><docBody><![CDATA[%s]]></docBody>" % js_escape(record),
+        ):
+            xml = (
+                "<newContent><docTime>1</docTime><docContent>%s</docContent></newContent>"
+                % section
+            )
+            with pytest.raises(EnvelopeError):
+                parse_envelope(xml)
+
+    @pytest.mark.parametrize("tag", ["", ["title"], None])
+    def test_head_child_needs_a_tag(self, tag):
+        record = {"attrs": [], "inner": "x"}
+        if tag is not None:
+            record["tag"] = tag
+        xml = (
+            "<newContent><docTime>1</docTime><docContent><docHead>"
+            "<hChild1><![CDATA[%s]]></hChild1></docHead>"
+            "</docContent></newContent>" % js_escape(json.dumps(record))
+        )
+        with pytest.raises(EnvelopeError):
+            parse_envelope(xml)
+
+    def test_deeply_nested_payload_rejected(self):
+        nested = "[" * 100000 + "]" * 100000
+        xml = (
+            "<newContent><docTime>1</docTime><docContent><docHead></docHead>"
+            "<docBody><![CDATA[%s]]></docBody></docContent></newContent>" % js_escape(nested)
+        )
+        with pytest.raises(EnvelopeError):
+            parse_envelope(xml)
 
 
 attr_pairs = st.lists(
