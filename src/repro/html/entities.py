@@ -66,7 +66,9 @@ def _decode_one(name: str):
             if digits and all(d in _HEX_DIGITS for d in digits):
                 return _from_codepoint(int(digits, 16))
             return None
-        if digits.isdigit():
+        # ASCII digits only: str.isdigit() also accepts '²' (which int()
+        # rejects) and other scripts' digits (which int() reads).
+        if digits.isascii() and digits.isdigit():
             return _from_codepoint(int(digits))
         return None
     return NAMED_ENTITIES.get(name)

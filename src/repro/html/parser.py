@@ -20,7 +20,6 @@ from typing import List, Optional
 from .dom import Comment, Document, Element, Node, Text, VOID_ELEMENTS
 from .tokenizer import (
     CommentToken,
-    DoctypeToken,
     EndTagToken,
     StartTagToken,
     TextToken,
@@ -47,10 +46,7 @@ _SELF_CLOSING_SIBLINGS = {
 def parse_document(markup: str) -> Document:
     """Parse a complete HTML document, normalizing the top-level shape."""
     document = Document()
-    builder = _TreeBuilder(document)
-    for token in tokenize(markup):
-        builder.handle(token)
-    builder.finish()
+    _build_tree(document, tokenize(markup))
     _normalize_document(document)
     return document
 
@@ -62,10 +58,7 @@ def parse_fragment(markup: str, context_tag: str = "body") -> List[Node]:
     the innerHTML setter expects.
     """
     container = Element(context_tag if context_tag else "body")
-    builder = _TreeBuilder(container)
-    for token in tokenize(markup):
-        builder.handle(token)
-    builder.finish()
+    _build_tree(container, tokenize(markup))
     nodes = list(container.child_nodes)
     for node in nodes:
         node.parent = None
@@ -73,62 +66,61 @@ def parse_fragment(markup: str, context_tag: str = "body") -> List[Node]:
     return nodes
 
 
-class _TreeBuilder:
-    """Stack-based tree construction shared by document/fragment modes."""
+def _build_tree(root, tokens) -> None:
+    """Stack-based tree construction below ``root``, shared by document
+    and fragment parsing; elements still open at the end are closed
+    there.
 
-    def __init__(self, root):
-        self.root = root
-        self.stack: List[Element] = []
-
-    @property
-    def current(self):
-        """The innermost open element (or the root)."""
-        return self.stack[-1] if self.stack else self.root
-
-    def handle(self, token) -> None:
-        """Feed one token into tree construction."""
-        if isinstance(token, TextToken):
-            self._append_text(token.data)
-        elif isinstance(token, StartTagToken):
-            self._start_tag(token)
-        elif isinstance(token, EndTagToken):
-            self._end_tag(token.name)
-        elif isinstance(token, CommentToken):
-            self.current.append_child(Comment(token.data))
-        elif isinstance(token, DoctypeToken):
-            if isinstance(self.root, Document):
-                self.root.doctype = token.data
-
-    def finish(self) -> None:
-        """Close any elements left open at end of input."""
-        self.stack = []
-
-    def _append_text(self, data: str) -> None:
-        if not data:
-            return
-        current = self.current
-        # Merge adjacent text nodes so parsing is idempotent.
-        last = current.child_nodes[-1] if current.child_nodes else None
-        if isinstance(last, Text):
-            last.data += data
-        else:
-            current.append_child(Text(data))
-
-    def _start_tag(self, token: StartTagToken) -> None:
-        closes = _SELF_CLOSING_SIBLINGS.get(token.name)
-        if closes and self.stack and self.stack[-1].tag in closes:
-            self.stack.pop()
-        element = Element(token.name, token.attributes)
-        self.current.append_child(element)
-        if token.name not in VOID_ELEMENTS and not token.self_closing:
-            self.stack.append(element)
-
-    def _end_tag(self, name: str) -> None:
-        for index in range(len(self.stack) - 1, -1, -1):
-            if self.stack[index].tag == name:
-                del self.stack[index:]
-                return
-        # No matching open element: ignore the end tag.
+    ``root`` is a node the parse itself just created, and so is every
+    node hung below it: nothing outside the parse can have seen them
+    yet.  So a node joins its parent's child list directly, with no
+    cycle check and no version stamp walked up the parent chain, and an
+    element takes the tokenizer's (already lowercased) attribute dict
+    as it is.  Each node keeps the unique version it drew when it was
+    constructed, which keeps the stamp invariant of :mod:`.dom`: equal
+    subtree versions still only ever lie on one ancestor chain.
+    """
+    stack: List[Element] = []
+    parent = root  # the innermost open element, or the root
+    for token in tokens:
+        kind = type(token)
+        if kind is StartTagToken:
+            name = token.name
+            closes = _SELF_CLOSING_SIBLINGS.get(name)
+            if closes and stack and parent.tag in closes:
+                stack.pop()
+                parent = stack[-1] if stack else root
+            element = Element(name)
+            element._attributes = token.attributes
+            element.parent = parent
+            parent.child_nodes.append(element)
+            if name not in VOID_ELEMENTS and not token.self_closing:
+                stack.append(element)
+                parent = element
+        elif kind is EndTagToken:
+            name = token.name
+            for index in range(len(stack) - 1, -1, -1):
+                if stack[index].tag == name:
+                    del stack[index:]
+                    parent = stack[-1] if stack else root
+                    break
+            # No matching open element: the end tag is ignored.
+        elif kind is TextToken:
+            data = token.data
+            children = parent.child_nodes
+            if children and isinstance(children[-1], Text):
+                # Merge adjacent text nodes so parsing is idempotent.
+                children[-1]._data += data
+                continue
+            text = Text(data)
+            text.parent = parent
+            children.append(text)
+        elif kind is CommentToken:
+            comment = Comment(token.data)
+            comment.parent = parent
+            parent.child_nodes.append(comment)
+        elif isinstance(root, Document):  # a DoctypeToken
+            root.doctype = token.data
 
 
 def _normalize_document(document: Document) -> None:

@@ -5,11 +5,16 @@ serializer: start/end tags with quoted, unquoted and boolean attributes,
 self-closing syntax, comments, doctype, raw-text elements (``script`` /
 ``style``, whose content runs to the matching end tag without entity
 processing), and character references in text and attribute values.
+
+Each tokenizer state is one compiled pattern matched at the cursor (or
+a ``str.find`` for a fixed needle), so the per-character work runs in
+the regex engine rather than in Python.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+import re
+from typing import Dict, Iterator, Tuple
 
 from .entities import decode_entities
 from .dom import RAW_TEXT_ELEMENTS
@@ -24,10 +29,42 @@ __all__ = [
     "tokenize",
 ]
 
-_WHITESPACE = " \t\n\r\f"
-_TAG_NAME_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-"
+#: ``<name``: a start tag opens only with an ASCII letter.  Group 2
+#: closes a tag that has no attributes at once (``>`` or ``/>``); any
+#: other tag goes on to :data:`_ATTRIBUTE` from the end of its name.
+_START_TAG = re.compile(r"<([a-zA-Z][a-zA-Z0-9-]*)(?:[ \t\n\r\f]*(/?>))?")
+
+#: ``</name ...>``: anything after the name up to the first ``>`` (or
+#: EOF) is skipped.
+_END_TAG = re.compile(r"</([a-zA-Z0-9-]+)[^>]*>?")
+
+#: ASCII case only: plain ``re.I`` would follow Unicode case folding,
+#: under which ``ſ`` matches ``s`` and the Kelvin sign matches ``k``.
+_ASCII_CI = re.IGNORECASE | re.ASCII
+
+_DOCTYPE = re.compile(r"<!doctype", _ASCII_CI)
+
+#: One step inside a start tag, after any whitespace (HTML's five; not
+#: ``\v``).  Group 1 is an attribute name; group 2, 3 or 4 holds its
+#: double-quoted, single-quoted or unquoted value, and none of them
+#: matches for a boolean attribute.  An unterminated quote runs to EOF.
+#: Group 5 ends the tag: ``>``, ``/>``, or '' at EOF.  A match with no
+#: group is one junk ``=`` or ``/``, which is skipped.
+_ATTRIBUTE = re.compile(
+    r"[ \t\n\r\f]*(?:"
+    r"([^ \t\n\r\f=>/]+)"
+    r"(?:[ \t\n\r\f]*=[ \t\n\r\f]*(?:\"([^\"]*)\"?|'([^']*)'?|([^ \t\n\r\f>]*)))?"
+    r"|(/>|>|\Z)"
+    r"|[=/])"
 )
+_TAG_END = 5
+
+#: Raw-text element -> its end tag: ``</name`` in any ASCII case,
+#: followed by ``>``, ``/``, space, tab, LF, CR or EOF.
+_RAW_TEXT_END = {
+    tag: re.compile("</" + tag + r"(?=[>/ \t\n\r]|\Z)", _ASCII_CI)
+    for tag in RAW_TEXT_ELEMENTS
+}
 
 
 class Token:
@@ -93,199 +130,87 @@ class DoctypeToken(Token):
         return "Doctype(%r)" % (self.data,)
 
 
-class _Scanner:
-    """Cursor over the source text."""
-
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    @property
-    def exhausted(self) -> bool:
-        """True once the cursor is past the end of the input."""
-        return self.pos >= len(self.text)
-
-    def peek(self, offset: int = 0) -> str:
-        """The character ``offset`` ahead of the cursor ('' at EOF)."""
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def startswith(self, prefix: str) -> bool:
-        """Whether the input at the cursor starts with ``prefix``."""
-        return self.text.startswith(prefix, self.pos)
-
-    def startswith_ci(self, prefix: str) -> bool:
-        """Case-insensitive :meth:`startswith`."""
-        return self.text[self.pos : self.pos + len(prefix)].lower() == prefix.lower()
-
-    def advance(self, count: int = 1) -> None:
-        """Move the cursor forward by ``count`` characters."""
-        self.pos += count
-
-    def take_until(self, needle: str) -> str:
-        """Consume and return text up to ``needle`` (needle not consumed);
-        consumes to EOF if absent."""
-        index = self.text.find(needle, self.pos)
-        if index == -1:
-            chunk = self.text[self.pos :]
-            self.pos = len(self.text)
-        else:
-            chunk = self.text[self.pos : index]
-            self.pos = index
-        return chunk
-
-    def skip_whitespace(self) -> None:
-        """Advance the cursor past any whitespace."""
-        while not self.exhausted and self.peek() in _WHITESPACE:
-            self.advance()
-
-
 def tokenize(markup: str) -> Iterator[Token]:
     """Yield tokens for ``markup``."""
-    scanner = _Scanner(markup)
-    while not scanner.exhausted:
-        if scanner.peek() == "<":
-            token = _scan_markup(scanner)
-            if token is None:
-                # A stray '<' that opens nothing is literal text.
-                yield TextToken("<")
-                scanner.advance()
-                continue
-            yield token
-            if isinstance(token, StartTagToken) and token.name in RAW_TEXT_ELEMENTS:
-                if not token.self_closing:
-                    raw, end = _scan_raw_text(scanner, token.name)
-                    if raw:
-                        yield TextToken(raw, raw=True)
-                    if end is not None:
-                        yield end
-        else:
-            text = scanner.take_until("<")
-            yield TextToken(decode_entities(text))
-
-
-def _scan_markup(scanner: _Scanner) -> Optional[Token]:
-    if scanner.startswith("<!--"):
-        scanner.advance(4)
-        data = scanner.take_until("-->")
-        if not scanner.exhausted:
-            scanner.advance(3)
-        return CommentToken(data)
-    if scanner.startswith_ci("<!doctype"):
-        scanner.advance(2)
-        data = scanner.take_until(">")
-        if not scanner.exhausted:
-            scanner.advance(1)
-        return DoctypeToken(data.strip())
-    if scanner.startswith("</"):
-        return _scan_end_tag(scanner)
-    if scanner.peek(1) in _TAG_NAME_CHARS and scanner.peek(1).isalpha():
-        return _scan_start_tag(scanner)
-    return None
-
-
-def _scan_end_tag(scanner: _Scanner) -> Optional[Token]:
-    start = scanner.pos
-    scanner.advance(2)
-    name = _scan_tag_name(scanner)
-    if not name:
-        scanner.pos = start
-        return None
-    scanner.take_until(">")
-    if not scanner.exhausted:
-        scanner.advance(1)
-    return EndTagToken(name.lower())
-
-
-def _scan_start_tag(scanner: _Scanner) -> Optional[Token]:
-    start = scanner.pos
-    scanner.advance(1)
-    name = _scan_tag_name(scanner)
-    if not name:
-        scanner.pos = start
-        return None
-    attributes: Dict[str, str] = {}
-    self_closing = False
-    while True:
-        scanner.skip_whitespace()
-        char = scanner.peek()
-        if char == "":
-            break
-        if char == ">":
-            scanner.advance()
-            break
-        if char == "/" and scanner.peek(1) == ">":
-            scanner.advance(2)
-            self_closing = True
-            break
-        pair = _scan_attribute(scanner)
-        if pair is None:
-            # Unparseable junk inside the tag: skip one char and continue.
-            scanner.advance()
+    find = markup.find
+    start_tag = _START_TAG.match
+    end = len(markup)
+    pos = 0
+    while pos < end:
+        if markup[pos] != "<":
+            lt = find("<", pos)
+            if lt == -1:
+                lt = end
+            yield TextToken(decode_entities(markup[pos:lt]))
+            pos = lt
             continue
-        attr_name, attr_value = pair
-        attributes.setdefault(attr_name.lower(), attr_value)
-    return StartTagToken(name.lower(), attributes, self_closing)
+        match = start_tag(markup, pos)
+        if match is not None:
+            name = match.group(1).lower()
+            closer = match.group(2)
+            if closer is None:
+                attributes, self_closing, pos = _attributes(markup, match.end())
+            else:
+                attributes, self_closing, pos = {}, closer == "/>", match.end()
+            yield StartTagToken(name, attributes, self_closing)
+            if name in RAW_TEXT_ELEMENTS and not self_closing:
+                close = _RAW_TEXT_END[name].search(markup, pos)
+                raw_end = end if close is None else close.start()
+                if raw_end > pos:
+                    yield TextToken(markup[pos:raw_end], raw=True)
+                pos = raw_end
+                if close is not None:
+                    gt = find(">", close.end())
+                    pos = end if gt == -1 else gt + 1
+                    yield EndTagToken(name)
+            continue
+        after = markup[pos + 1 : pos + 2]
+        if after == "/":
+            match = _END_TAG.match(markup, pos)
+            if match is not None:
+                yield EndTagToken(match.group(1).lower())
+                pos = match.end()
+                continue
+        elif after == "!":
+            if markup.startswith("<!--", pos):
+                close = find("-->", pos + 4)
+                if close == -1:
+                    yield CommentToken(markup[pos + 4 :])
+                    pos = end
+                else:
+                    yield CommentToken(markup[pos + 4 : close])
+                    pos = close + 3
+                continue
+            if _DOCTYPE.match(markup, pos):
+                close = find(">", pos + 2)
+                if close == -1:
+                    yield DoctypeToken(markup[pos + 2 :].strip())
+                    pos = end
+                else:
+                    yield DoctypeToken(markup[pos + 2 : close].strip())
+                    pos = close + 1
+                continue
+        # A stray '<' that opens nothing is literal text.
+        yield TextToken("<")
+        pos += 1
 
 
-def _scan_tag_name(scanner: _Scanner) -> str:
-    chars = []
-    while not scanner.exhausted and scanner.peek() in _TAG_NAME_CHARS:
-        chars.append(scanner.peek())
-        scanner.advance()
-    return "".join(chars)
-
-
-def _scan_attribute(scanner: _Scanner) -> Optional[Tuple[str, str]]:
-    chars = []
-    while not scanner.exhausted and scanner.peek() not in _WHITESPACE + "=>/":
-        chars.append(scanner.peek())
-        scanner.advance()
-    name = "".join(chars)
-    if not name:
-        return None
-    scanner.skip_whitespace()
-    if scanner.peek() != "=":
-        return (name, "")  # boolean attribute
-    scanner.advance()
-    scanner.skip_whitespace()
-    quote = scanner.peek()
-    if quote in ("'", '"'):
-        scanner.advance()
-        value = scanner.take_until(quote)
-        if not scanner.exhausted:
-            scanner.advance()
-    else:
-        value_chars = []
-        while not scanner.exhausted and scanner.peek() not in _WHITESPACE + ">":
-            value_chars.append(scanner.peek())
-            scanner.advance()
-        value = "".join(value_chars)
-    return (name, decode_entities(value))
-
-
-def _scan_raw_text(scanner: _Scanner, tag: str):
-    """Consume raw content of <script>/<style> up to its end tag."""
-    lower = scanner.text.lower()
-    needle = "</" + tag
-    index = lower.find(needle, scanner.pos)
-    while index != -1:
-        after = index + len(needle)
-        next_char = lower[after : after + 1]
-        if next_char in ("", ">", " ", "\t", "\n", "\r", "/"):
+def _attributes(markup: str, pos: int) -> Tuple[Dict[str, str], bool, int]:
+    """Scan a start tag's attributes from ``pos`` to the tag's end: the
+    attributes (lowercased by name, the first of a duplicated name
+    wins, values entity-decoded), whether the tag self-closes, and the
+    position after it."""
+    attributes: Dict[str, str] = {}
+    # The pattern matches at every position (past the whitespace, any
+    # character starts a name, a tag end or junk), so finditer never
+    # skips input: its matches are the consecutive steps, and the last
+    # is the tag's end, which matches at EOF too.
+    for step in _ATTRIBUTE.finditer(markup, pos):
+        kind = step.lastindex
+        if kind == _TAG_END:
             break
-        index = lower.find(needle, index + 1)
-    if index == -1:
-        raw = scanner.text[scanner.pos :]
-        scanner.pos = len(scanner.text)
-        return raw, None
-    raw = scanner.text[scanner.pos : index]
-    scanner.pos = index
-    scanner.advance(2)
-    name = _scan_tag_name(scanner)
-    scanner.take_until(">")
-    if not scanner.exhausted:
-        scanner.advance(1)
-    return raw, EndTagToken(name.lower())
+        if kind is not None:
+            name = step.group(1).lower()
+            if name not in attributes:
+                attributes[name] = decode_entities(step.group(kind)) if kind > 1 else ""
+    return attributes, step.group(_TAG_END) == "/>", step.end()

@@ -113,6 +113,17 @@ class TestNavigation:
         page = run(sim, scenario())
         assert page.objects == []
 
+    def test_non_ascii_digit_reference_is_literal_text(self):
+        sim, network, client_host = build_world()
+        site = StaticSite("site.com")
+        site.add_page("/", "<html><head><title>x&#²;</title></head><body>a&#²;b&#١٢;c</body></html>")
+        OriginServer(network, "site.com", site.handle)
+        browser = Browser(client_host)
+
+        page = run(sim, browser.navigate("http://site.com/"))
+        assert page.document.title == "x&#²;"
+        assert page.document.body.text_content == "a&#²;b&#١٢;c"
+
     def test_navigate_404_raises(self):
         sim, network, client_host = build_world()
         simple_site(network)

@@ -1,5 +1,7 @@
 """Tests for user-action records and stable element references."""
 
+import gc
+
 import pytest
 
 from repro.core import (
@@ -55,6 +57,10 @@ class TestActionSerialization:
         ids=["nested", "number", "list", "bad-int", "list-int", "infinite"],
     )
     def test_decode_hostile_payload_is_action_error(self, text):
+        # Collect earlier tests' garbage first: a generator finalized by
+        # the collector in the middle of the nested decode hits the
+        # recursion limit itself and surfaces here as an unraisable error.
+        gc.collect()
         with pytest.raises(ActionError):
             decode_actions(text)
 

@@ -430,6 +430,42 @@ class TestHostileBodies:
         assert guest.page.document.body.text_content == "v1!"
         session.close()
 
+    def test_poll_loop_applies_non_ascii_digit_reference_as_text(self):
+        """``&#²;`` in a full envelope's body is literal text: the live
+        poll loop applies it, stays up, and converges on the next edit."""
+        sim, session, host, guest = self.build()
+        injected = []
+
+        def scenario():
+            snippet = yield from session.join(guest)
+            yield from session.host_navigate("http://s.com/")
+            yield from session.wait_until_synced()
+            client = guest.client
+            real_post = client.post
+
+            def hostile_post(*args, **kwargs):
+                response = yield from real_post(*args, **kwargs)
+                if not injected:
+                    body = '{"attrs": [], "inner": "<p>&#²;</p>"}'
+                    injected.append(snippet.last_doc_time + 500)
+                    envelope = hostile_full(injected[0], body_json=body)
+                    return HttpResponse(200, body=envelope.encode("utf-8"))
+                return response
+
+            client.post = hostile_post
+            yield sim.timeout(2.0)  # the poll loop meets the envelope
+            applied = (snippet.last_doc_time, guest.page.document.body.text_content)
+            host.mutate_document(lambda doc: doc.body.child_nodes[0].append_child(Text("!")))
+            yield from session.wait_until_synced()
+            return snippet, applied
+
+        snippet, applied = sim.run_until_complete(sim.process(scenario()))
+        assert applied == (injected[0], "&#²;")
+        assert snippet._poll_proc is not None and snippet._poll_proc.is_alive
+        assert snippet.last_doc_time == session.agent.doc_time
+        assert guest.page.document.body.text_content == "v1!"
+        session.close()
+
     @pytest.mark.parametrize(
         "cookies_json",
         [

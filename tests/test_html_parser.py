@@ -22,6 +22,12 @@ class TestEntities:
     def test_decode_numeric(self):
         assert decode_entities("&#65;&#x42;") == "AB"
 
+    def test_non_ascii_digits_stay_literal(self):
+        # str.isdigit() accepts both; int() rejects '²' and reads '١٢' as 12.
+        assert decode_entities("&#²;") == "&#²;"
+        assert decode_entities("a&#١٢;b") == "a&#١٢;b"
+        assert decode_entities("&#65;&#²;&#x42;") == "A&#²;B"
+
     def test_unknown_entity_left_alone(self):
         assert decode_entities("&bogus; &") == "&bogus; &"
 

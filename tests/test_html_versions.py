@@ -14,9 +14,11 @@ The incremental generation pipeline treats version equality as a sound
 
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.html import Comment, Document, Element, Text, parse_document, serialize_node
+from repro.webserver import TABLE1_SITES, generate_table1_site
 
 
 def build_page():
@@ -25,6 +27,17 @@ def build_page():
         "<body><div id='a'><span>one</span></div>"
         "<div id='b'><span>two</span></div></body></html>"
     )
+
+
+def table1_page():
+    """The smallest Table-1 page, as the parser builds it: its nodes
+    carry only the stamps they drew at construction, plus those of the
+    top-level normalization."""
+    spec = next(spec for spec in TABLE1_SITES if spec.host == "google.com")
+    return parse_document(generate_table1_site(spec).html)
+
+
+PAGES = {"fixture": build_page, "table1": table1_page}
 
 
 def versions(node):
@@ -158,6 +171,20 @@ def test_clone_draws_fresh_stamps():
     assert not (seen & originals)
 
 
+@pytest.mark.parametrize("page", sorted(PAGES))
+def test_parsed_equal_subtree_versions_lie_on_one_chain(page):
+    """Right after a parse, two nodes share a subtree version only if
+    one is an ancestor of the other (the invariant in repro.html.dom)."""
+    document = PAGES[page]()
+    by_version = {}
+    for node in [document, *document.descendants()]:
+        by_version.setdefault(node.subtree_version, []).append(node)
+    for nodes in by_version.values():
+        deepest = max(nodes, key=lambda node: len(ancestors(node)))
+        chain = [deepest] + ancestors(deepest)
+        assert all(any(node is link for link in chain) for node in nodes)
+
+
 def test_versions_monotone_across_mutations():
     document = build_page()
     target = document.get_element_by_id("a")
@@ -178,12 +205,25 @@ _words = st.text(alphabet=string.ascii_letters + string.digits + " ", min_size=1
 def mutations(draw):
     """(kind, payload) operations applied to the fixture page."""
     kind = draw(st.sampled_from(["attr", "text", "append", "remove", "noop-attr", "noop-text"]))
-    return kind, draw(_words), draw(st.integers(min_value=0, max_value=1))
+    return kind, draw(_words), draw(st.integers(min_value=0, max_value=7))
 
 
-def apply_mutation(document, op):
+def mutation_targets(document):
+    """Body elements whose first child is an element holding text first
+    (div#a and div#b on the fixture page)."""
+    return [
+        element
+        for element in document.body.descendant_elements()
+        if element.child_nodes
+        and isinstance(element.child_nodes[0], Element)
+        and element.child_nodes[0].child_nodes
+        and isinstance(element.child_nodes[0].child_nodes[0], Text)
+    ]
+
+
+def apply_mutation(document, targets, op):
     kind, word, which = op
-    target = document.get_element_by_id("a" if which == 0 else "b")
+    target = targets[which % len(targets)]
     span = target.child_nodes[0]
     if kind == "attr":
         target.set_attribute("class", word)
@@ -201,13 +241,14 @@ def apply_mutation(document, op):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(mutations(), min_size=1, max_size=12))
-def test_equal_version_implies_equal_serialization(ops):
+@given(st.sampled_from(sorted(PAGES)), st.lists(mutations(), min_size=1, max_size=12))
+def test_equal_version_implies_equal_serialization(page, ops):
     """Across an arbitrary mutation sequence, any node whose subtree
     version is unchanged between two observations serializes
     identically — the soundness property behind every (id, version)
     cache and the diff's version short-circuit."""
-    document = build_page()
+    document = PAGES[page]()
+    targets = mutation_targets(document)
     root = document.document_element
 
     def observe():
@@ -223,7 +264,7 @@ def test_equal_version_implies_equal_serialization(ops):
 
     previous = observe()
     for op in ops:
-        apply_mutation(document, op)
+        apply_mutation(document, targets, op)
         current = observe()
         for node_id, (version, markup) in current.items():
             if node_id in previous and previous[node_id][0] == version:
