@@ -32,10 +32,16 @@ from .observer import (
 )
 from .page import LoadedObject, Page
 
-__all__ = ["Browser", "BrowserExtension", "NavigationError"]
+__all__ = [
+    "Browser",
+    "BrowserExtension",
+    "NavigationError",
+    "OBJECT_SOURCES",
+    "object_attribute",
+]
 
 #: Tag -> the URL-bearing attribute that makes it a supplementary object.
-_OBJECT_SOURCES: Dict[str, str] = {
+OBJECT_SOURCES: Dict[str, str] = {
     "img": "src",
     "script": "src",
     "frame": "src",
@@ -50,6 +56,24 @@ _OBJECT_LINK_RELS = frozenset(("stylesheet", "icon", "shortcut icon"))
 #: without being memoized, so the memo stays bounded in bytes as well as
 #: in entries.
 _MEMO_REFERENCE_LIMIT = 2048
+
+
+def object_attribute(element: Element) -> Optional[str]:
+    """The attribute naming ``element``'s supplementary object, or None
+    when the element is not one.  ``type`` and ``rel`` are keywords, so
+    they compare ASCII case-insensitively (``str.lower`` maps no other
+    character onto the letters of these keywords)."""
+    tag = element.tag
+    attribute = OBJECT_SOURCES.get(tag)
+    if attribute is None:
+        return None
+    if tag == "input":
+        if (element.get_attribute("type") or "").lower() != "image":
+            return None
+    elif tag == "link":
+        if (element.get_attribute("rel") or "").lower() not in _OBJECT_LINK_RELS:
+            return None
+    return attribute
 
 
 @lru_cache(maxsize=4096)
@@ -196,7 +220,12 @@ class Browser:
         return page
 
     def _fetch_supplementary_objects(self, page: Page):
-        urls = self.discover_object_urls(page.document, page.url)
+        if not page.object_scan_current:
+            page.object_scan = (
+                page.document.subtree_version,
+                self.discover_object_urls(page.document, page.url),
+            )
+        urls = page.object_scan[1]
         if not urls:
             # A rescan may find nothing where the last one found objects.
             page.objects_load_time = 0.0
@@ -250,16 +279,11 @@ class Browser:
         seen = set()
         urls: List[str] = []
         for element in document.descendant_elements():
-            tag = element.tag
-            attribute = _OBJECT_SOURCES.get(tag)
+            if element.tag not in OBJECT_SOURCES:
+                continue  # most elements: skipped without a call
+            attribute = object_attribute(element)
             if attribute is None:
                 continue
-            if tag == "input" and element.get_attribute("type") != "image":
-                continue
-            if tag == "link":
-                rel = (element.get_attribute("rel") or "").lower()
-                if rel not in _OBJECT_LINK_RELS:
-                    continue
             raw = element.get_attribute(attribute)
             if not raw:
                 continue

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 from ..html import Document
 from ..net.url import Url
@@ -47,6 +47,23 @@ class Page:
         #: browser uses it to detect staleness and RCB-Agent uses the
         #: corresponding wall-clock timestamp.
         self.version = 0
+        #: The last supplementary-object scan of ``document``, as
+        #: ``(document subtree_version, urls)``; the browser reuses the
+        #: URL list while the version still matches.
+        self.object_scan: Optional[Tuple[int, List[str]]] = None
+
+    @property
+    def object_scan_current(self) -> bool:
+        """Whether the last object scan was taken of the document as it
+        is now (every DOM mutation moves the subtree version)."""
+        scan = self.object_scan
+        return scan is not None and scan[0] == self.document.subtree_version
+
+    def carry_object_scan(self) -> None:
+        """Re-stamp the object scan with the document's current version.
+        The caller vouches that the changes since the scan was current
+        left the object list as it was."""
+        self.object_scan = (self.document.subtree_version, self.object_scan[1])
 
     @property
     def html_size(self) -> int:

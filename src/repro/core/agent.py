@@ -102,6 +102,24 @@ _SNIPPET_SCRIPT_ID = "ajax-snippet"
 _XML_CONTENT_TYPE = ("Content-Type", "application/xml; charset=utf-8")
 
 
+def _well_formed_poll(payload) -> bool:
+    """Whether a decoded poll body has the shape Ajax-Snippet sends: a
+    JSON object whose ``participant`` is a non-empty string,
+    ``timestamp`` a non-negative integer and ``actions`` a list, each
+    of them optional."""
+    if type(payload) is not dict:
+        return False
+    participant = payload.get("participant", "-")
+    timestamp = payload.get("timestamp", 0)
+    return (
+        type(participant) is str
+        and participant != ""
+        and type(timestamp) is int
+        and timestamp >= 0
+        and type(payload.get("actions", [])) is list
+    )
+
+
 class ParticipantState:
     """Per-participant bookkeeping on the agent."""
 
@@ -293,6 +311,7 @@ class RCBAgent(BrowserExtension):
                 "actions_held",
                 "actions_dropped",
                 "action_errors",
+                "bad_poll_bodies",
                 "delta_responses",
                 "full_responses",
                 "delta_fallbacks",
@@ -628,13 +647,16 @@ class RCBAgent(BrowserExtension):
 
         try:
             payload = json.loads(request.body.decode("utf-8") or "{}")
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
+            payload = None
+        if not _well_formed_poll(payload):
+            self.stats.inc("bad_poll_bodies")
             return HttpResponse(400, body=b"bad poll body")
-        participant_id = payload.get("participant") or client_name
+        participant_id = payload.get("participant", client_name)
         participant = self._participant(participant_id)
         participant.polls += 1
         participant.last_poll_at = self.browser.sim.now
-        their_time = int(payload.get("timestamp", 0))
+        their_time = payload.get("timestamp", 0)
 
         # Piggybacked telemetry digest: ingest before the hold/serve
         # branches so a poll that parks for seconds still delivers its
@@ -645,7 +667,7 @@ class RCBAgent(BrowserExtension):
                 self.telemetry.ingest(reported_digest, t=self.browser.sim.now)
 
         # Step 1: data merging — piggybacked participant actions.
-        raw_actions = payload.get("actions") or []
+        raw_actions = payload.get("actions")
         if raw_actions:
             try:
                 actions = decode_actions(json.dumps(raw_actions))

@@ -44,6 +44,7 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from ..browser.browser import OBJECT_SOURCES, object_attribute
 from ..browser.cache import CacheReadSession
 from ..html import Document, Element
 from ..html.dom import RAW_TEXT_ELEMENTS, Comment, Node, Text
@@ -70,16 +71,7 @@ from .xmlformat import (
 __all__ = ["ContentGenerator", "GeneratedContent", "OBJECT_URL_ATTRIBUTES", "AGENT_OBJECT_PATH"]
 
 #: Attributes holding supplementary-object URLs, per tag.
-OBJECT_URL_ATTRIBUTES: Tuple[Tuple[str, str], ...] = (
-    ("img", "src"),
-    ("script", "src"),
-    ("frame", "src"),
-    ("iframe", "src"),
-    ("embed", "src"),
-    ("input", "src"),
-    ("body", "background"),
-    ("link", "href"),
-)
+OBJECT_URL_ATTRIBUTES: Tuple[Tuple[str, str], ...] = tuple(OBJECT_SOURCES.items())
 
 #: Navigation attributes also made absolute (harmless, aids debugging).
 _NAVIGATION_ATTRIBUTES: Tuple[Tuple[str, str], ...] = (
@@ -109,11 +101,6 @@ REF_ATTRIBUTE = "data-rcbref"
 _URL_ATTRIBUTES_BY_TAG: Dict[str, Tuple[str, ...]] = {}
 for _tag, _attr in OBJECT_URL_ATTRIBUTES + _NAVIGATION_ATTRIBUTES:
     _URL_ATTRIBUTES_BY_TAG[_tag] = _URL_ATTRIBUTES_BY_TAG.get(_tag, ()) + (_attr,)
-
-#: tag -> attributes eligible for cache-mode rewriting.
-_CACHE_ATTRIBUTES_BY_TAG: Dict[str, Tuple[str, ...]] = {}
-for _tag, _attr in OBJECT_URL_ATTRIBUTES:
-    _CACHE_ATTRIBUTES_BY_TAG[_tag] = _CACHE_ATTRIBUTES_BY_TAG.get(_tag, ()) + (_attr,)
 
 #: Interactive tags whose pre-order same-tag index feeds data-rcbref.
 _EVENT_TAGS: Tuple[str, ...] = tuple(sorted(_EVENT_REWRITES))
@@ -738,31 +725,21 @@ class ContentGenerator:
         sign_target=None,
         should_cache=None,
     ) -> int:
-        attributes = _CACHE_ATTRIBUTES_BY_TAG.get(element.tag)
-        if attributes is None:
+        attribute = object_attribute(element)
+        if attribute is None:
             return 0
-        tag = element.tag
-        if tag == "link":
-            rel = (element.get_attribute("rel") or "").lower()
-            if rel not in ("stylesheet", "icon", "shortcut icon"):
+        url = element.get_attribute(attribute)
+        if not url or not cache_session.contains(url):
+            return 0
+        if should_cache is not None:
+            entry = cache_session.peek(url)
+            if entry is None or not should_cache(url, entry.content_type, entry.size):
                 return 0
-        if tag == "input" and element.get_attribute("type") != "image":
-            return 0
-        rewritten = 0
-        for attribute in attributes:
-            url = element.get_attribute(attribute)
-            if not url or not cache_session.contains(url):
-                continue
-            if should_cache is not None:
-                entry = cache_session.peek(url)
-                if entry is None or not should_cache(url, entry.content_type, entry.size):
-                    continue
-            target = "%s?key=%s" % (self.agent_object_path, quote(url))
-            object_map[target] = url
-            written = sign_target(target) if sign_target is not None else target
-            element.set_attribute(attribute, written)
-            rewritten += 1
-        return rewritten
+        target = "%s?key=%s" % (self.agent_object_path, quote(url))
+        object_map[target] = url
+        written = sign_target(target) if sign_target is not None else target
+        element.set_attribute(attribute, written)
+        return 1
 
     # -- step 4: event-attribute rewriting ------------------------------------------------
 

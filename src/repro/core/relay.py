@@ -56,7 +56,7 @@ from ..obs import RELAY_DEATH, RELAY_REATTACH, EventBus, MetricsRegistry, Tracer
 from ..sim import Interrupt
 from .actions import MouseMoveAction, ScrollAction, UserAction
 from .agent import AGENT_DEFAULT_PORT, RCBAgent
-from .snippet import _SNIPPET_SCRIPT_ID, AjaxSnippet, BackoffPolicy
+from .snippet import AjaxSnippet, BackoffPolicy, _lift_snippet_script, _restore_snippet_script
 from .xmlformat import NewContent, WireTemplate
 
 __all__ = ["RelayAgent"]
@@ -346,23 +346,18 @@ class RelayAgent(RCBAgent):
         Fig. 5 update preserves it), but the root's envelopes never
         carry one — downstream documents must match the root's shape,
         or children's delta bases would diverge tier by tier.
+        Generation only reads the document, so the relay's own object
+        scan is carried over the lift-out and back.
         """
-        document = self.browser.page.document
-        head = document.head
-        snippet_script = None
-        if head is not None:
-            for node in head.children:
-                if node.tag == "script" and node.get_attribute("id") == _SNIPPET_SCRIPT_ID:
-                    snippet_script = node
-                    head.remove_child(node)
-                    break
+        page = self.browser.page
+        scan_current = page.object_scan_current
+        snippet_script = _lift_snippet_script(page.document)
         try:
             return super()._ensure_generated(participant_id)
         finally:
-            if snippet_script is not None:
-                target_head = document.head
-                if target_head is not None:
-                    target_head.insert_before(snippet_script, target_head.first_child)
+            _restore_snippet_script(page.document, snippet_script)
+            if scan_current:
+                page.carry_object_scan()
 
     def __repr__(self):
         return "RelayAgent(%s -> %s, %d children)" % (

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional
 
 from ..browser.browser import Browser
 from ..http import RequestFailed
-from ..html import Element
+from ..html import Document, Element
 from ..net.url import parse_url
 from ..obs import RESYNC_FORCED, EventBus, MetricsRegistry, StatsFacade, Tracer
 from ..obs.trace import TRACE_HEADER, Span, SpanContext, parse_trace_header
@@ -58,9 +58,37 @@ __all__ = ["AjaxSnippet", "BackoffPolicy", "SnippetStats"]
 
 _SNIPPET_SCRIPT_ID = "ajax-snippet"
 
+#: Delta op kinds that change only character data, which object
+#: discovery never reads: a delta made of these alone keeps the page's
+#: object scan exact.
+_DATA_ONLY_OPS = frozenset(("text", "comment"))
+
 #: Every envelope opens with this declaration — the split marker for a
 #: streamed-push response carrying several envelopes back to back.
 _XML_DECL = "<?xml version='1.0' encoding='utf-8'?>"
+
+
+def _lift_snippet_script(document: Document) -> Optional[Element]:
+    """Take Ajax-Snippet's own <script> out of the head, so the document
+    matches the agent's canonical snapshot, which never carries it.
+    Returns the script, or None when the head holds none."""
+    head = document.head
+    if head is not None:
+        for node in head.children:
+            if node.tag == "script" and node.get_attribute("id") == _SNIPPET_SCRIPT_ID:
+                head.remove_child(node)
+                return node
+    return None
+
+
+def _restore_snippet_script(document: Document, script: Optional[Element]) -> None:
+    """Put a script taken by :func:`_lift_snippet_script` back, first in
+    the head.  The script names no object, so taking it out and putting
+    it back never changes the page's object list."""
+    if script is not None:
+        head = document.head
+        if head is not None:
+            head.insert_before(script, head.first_child)
 
 
 class BackoffPolicy:
@@ -632,18 +660,20 @@ class AjaxSnippet:
 
     def _apply_delta_ops(self, content: NewContent) -> None:
         """Apply the ops with Ajax-Snippet's own <script> lifted out, so
-        the document matches the agent's canonical snapshot exactly."""
-        document = self.browser.page.document
+        the document matches the agent's canonical snapshot exactly.
+
+        Text and comment ops change only character data, which object
+        discovery never reads: after a delta of those alone the page's
+        object scan is carried over, and the object fetch that follows
+        skips the discovery walk."""
+        page = self.browser.page
+        document = page.document
         html = document.document_element
-        head = document.head
-        if html is None or head is None:
+        if html is None or document.head is None:
             raise DeltaError("participant document has no html/head")
-        snippet_script = None
-        for node in head.children:
-            if node.tag == "script" and node.get_attribute("id") == _SNIPPET_SCRIPT_ID:
-                snippet_script = node
-                head.remove_child(node)
-                break
+        # Read before the lift-out, which itself moves the version.
+        scan_current = page.object_scan_current
+        snippet_script = _lift_snippet_script(document)
         try:
             ops = json.loads(content.delta_ops_json)
             apply_delta(
@@ -655,11 +685,10 @@ class AjaxSnippet:
                 t=self.sim.now,
             )
         finally:
-            if snippet_script is not None:
-                target_head = document.head
-                if target_head is not None:
-                    target_head.insert_before(snippet_script, target_head.first_child)
-        self.browser.page.version += 1
+            _restore_snippet_script(document, snippet_script)
+        if scan_current and all(op["op"] in _DATA_ONLY_OPS for op in ops):
+            page.carry_object_scan()
+        page.version += 1
 
     def _apply_update(self, content: NewContent) -> None:
         """The four-step in-place update of the current document."""

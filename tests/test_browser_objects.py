@@ -28,7 +28,8 @@ REFERENCE_SOURCES = (
 
 
 def reference_discover(document, base_url):
-    """The original discovery scan, frozen."""
+    """The original discovery scan, frozen, except that ``<input type>``
+    compares ASCII case-insensitively, as HTML keyword values do."""
     seen = set()
     urls = []
 
@@ -47,7 +48,7 @@ def reference_discover(document, base_url):
     for element in document.descendant_elements():
         for tag, attribute in REFERENCE_SOURCES:
             if element.tag == tag:
-                if tag == "input" and element.get_attribute("type") != "image":
+                if tag == "input" and (element.get_attribute("type") or "").lower() != "image":
                     continue
                 add(element.get_attribute(attribute))
         if element.tag == "link":
@@ -69,7 +70,7 @@ MIXED_PAGE = (
     '<img src="gopher://old.net/z"><img src="http://x.com:\u00b2/port.png">'
     '<img src="?q=1"><img src="  spaced.png  ">'
     '<frameset><frame src="f1.html"></frameset><iframe src="/if.html"></iframe>'
-    '<embed src="m.swf"><input type="image" src="btn.png"><input type="IMAGE" src="no.png">'
+    '<embed src="m.swf"><input type="image" src="btn.png"><input type="IMAGE" src="upper.png">'
     '<input type="text" src="ignored.png"><div><p><img src="deep/nested.png"></p></div>'
     "</body></html>"
 )
@@ -99,6 +100,18 @@ def test_every_source_kind_matches_reference(base):
     assert Browser.discover_object_urls(document, base_url) == reference_discover(
         document, base_url
     )
+
+
+def test_image_button_type_is_case_insensitive():
+    document = parse_document(
+        '<html><body><input type="IMAGE" src="/a.png"><input type="image" src="/b.png">'
+        '<input type="Text" src="/c.png"><link rel="ICON" href="/d.ico"></body></html>'
+    )
+    assert Browser.discover_object_urls(document, parse_url("http://x.com/")) == [
+        "http://x.com/a.png",
+        "http://x.com/b.png",
+        "http://x.com/d.ico",
+    ]
 
 
 def test_memo_is_keyed_by_base_url():

@@ -1,5 +1,6 @@
 """Tests for RCB-Agent request processing (paper Fig. 2)."""
 
+import gc
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.browser import Browser
 from repro.core import (
     ClickAction,
+    CoBrowsingSession,
     ConfirmPolicy,
     MouseMoveAction,
     ObserveOnlyPolicy,
@@ -15,7 +17,8 @@ from repro.core import (
     parse_envelope,
     sign_request_target,
 )
-from repro.http import HttpClient
+from repro.html import Text
+from repro.http import HttpClient, HttpRequest
 from repro.net import LAN_PROFILE, Host, Network
 from repro.sim import Simulator
 from repro.webserver import OriginServer, StaticSite
@@ -465,3 +468,107 @@ class TestRosterAndReuse:
             return "done"
 
         assert run(sim, scenario()) == "done"
+
+
+#: Poll bodies that do not have the shape Ajax-Snippet sends: the wrong
+#: JSON type, nesting past the recursion limit, a mistyped or
+#: out-of-range field.  A ``participant`` of 5 would also break every
+#: later ``roster()``, which sorts the member ids.
+MALFORMED_POLL_BODIES = {
+    "array": b"[]",
+    "number": b"1",
+    "string": b'"x"',
+    "nested-too-deep": b"[" * 100000 + b"]" * 100000,
+    "timestamp-string": b'{"participant": "m", "timestamp": "x"}',
+    "timestamp-null": b'{"participant": "m", "timestamp": null}',
+    "timestamp-overflow": b'{"participant": "m", "timestamp": 1e400}',
+    "timestamp-negative": b'{"participant": "m", "timestamp": -1}',
+    "timestamp-bool": b'{"participant": "m", "timestamp": true}',
+    "timestamp-float": b'{"participant": "m", "timestamp": 1.5}',
+    "participant-list": b'{"participant": ["p"], "timestamp": 0}',
+    "participant-number": b'{"participant": 5, "timestamp": 0}',
+    "participant-empty": b'{"participant": "", "timestamp": 0}',
+    "actions-object": b'{"participant": "m", "timestamp": 0, "actions": {}}',
+    "actions-null": b'{"participant": "m", "timestamp": 0, "actions": null}',
+}
+
+
+class TestMalformedPollBodies:
+    """A poll body of the wrong shape gets a counted 400; the agent
+    keeps serving everyone else."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_POLL_BODIES))
+    def test_direct_poll_is_a_counted_400(self, name):
+        sim, host_browser, agent, _client = build_world()
+
+        def scenario():
+            yield from host_browser.navigate("http://site.com/")
+            gc.collect()  # no finalizer may run at the recursion limit
+            bad = yield from agent._poll_response(
+                HttpRequest("POST", "/poll", None, MALFORMED_POLL_BODIES[name]), "mallory"
+            )
+            good = yield from agent._poll_response(
+                HttpRequest("POST", "/poll", None, poll_body("alice")), "alice-pc"
+            )
+            return bad, good
+
+        bad, good = run(sim, scenario())
+        assert (bad.status, bad.body) == (400, b"bad poll body")
+        assert agent.stats["bad_poll_bodies"] == 1
+        assert good.status == 200
+        assert parse_envelope(good.body.decode()).top_elements
+        assert agent.roster() == ["alice"]
+
+    def test_well_formed_bodies_are_accepted(self):
+        sim, host_browser, agent, _client = build_world()
+        bodies = {
+            "carol-pc": b"",
+            "dave-pc": b"{}",
+            "erin-pc": b'{"participant": "erin"}',
+            "frank-pc": b'{"timestamp": 0, "actions": []}',
+        }
+
+        def scenario():
+            yield from host_browser.navigate("http://site.com/")
+            responses = []
+            for client_name, body in bodies.items():
+                request = HttpRequest("POST", "/poll", None, body)
+                responses.append((yield from agent._poll_response(request, client_name)))
+            return responses
+
+        responses = run(sim, scenario())
+        assert [response.status for response in responses] == [200] * 4
+        assert agent.stats["bad_poll_bodies"] == 0
+        assert agent.roster() == ["carol-pc", "dave-pc", "erin", "frank-pc"]
+
+    @pytest.mark.parametrize("name", ["array", "timestamp-null", "participant-number"])
+    def test_session_survives_and_the_honest_member_converges(self, name):
+        sim = Simulator()
+        network = Network(sim)
+        site = StaticSite("s.com")
+        site.add_page("/", "<html><head><title>S</title></head><body><p>v1</p></body></html>")
+        OriginServer(network, "s.com", site.handle)
+        host = Browser(Host(network, "h-pc", LAN_PROFILE, segment="lan"), name="h")
+        guest = Browser(Host(network, "p-pc", LAN_PROFILE, segment="lan"), name="p")
+        intruder = HttpClient(Host(network, "x-pc", LAN_PROFILE, segment="lan"))
+        session = CoBrowsingSession(host, poll_interval=0.5, transport="poll")
+
+        def scenario():
+            yield from session.join(guest)
+            yield from session.host_navigate("http://s.com/")
+            yield from session.wait_until_synced()
+            response = yield from intruder.post(
+                session.agent.url + "poll",
+                MALFORMED_POLL_BODIES[name],
+                content_type="application/json",
+            )
+            host.mutate_document(lambda doc: doc.body.child_nodes[0].append_child(Text("!")))
+            yield from session.wait_until_synced()
+            return response
+
+        response = sim.run_until_complete(sim.process(scenario()))
+        assert response.status == 400
+        assert session.agent.stats["bad_poll_bodies"] == 1
+        assert session.agent.roster() == ["p"]
+        assert guest.page.document.body.text_content == "v1!"
+        session.close()

@@ -169,6 +169,31 @@ class TestCacheMode:
         _document, result = generate(cache=cache, cache_mode=True)
         assert result.cache_rewrites == 2
 
+    def test_image_button_type_is_case_insensitive(self):
+        cache = BrowserCache()
+        cache.store("http://site.com/a.png", "image/png", b"a")
+        cache.store("http://site.com/b.png", "image/png", b"b")
+        cache.store("http://site.com/c.png", "image/png", b"c")
+        _document, result = generate(
+            markup=(
+                '<html><body><form><input type="IMAGE" src="/a.png">'
+                '<input type="image" src="/b.png"><input type="text" src="/c.png">'
+                "</form></body></html>"
+            ),
+            cache=cache,
+            cache_mode=True,
+        )
+        inputs = participant_view(result).get_elements_by_tag_name("input")
+        assert [field.get_attribute("src").startswith("/obj?key=") for field in inputs] == [
+            True,
+            True,
+            False,
+        ]
+        assert sorted(result.object_map.values()) == [
+            "http://site.com/a.png",
+            "http://site.com/b.png",
+        ]
+
 
 class TestEventRewriting:
     def test_form_onsubmit_rewritten(self):
