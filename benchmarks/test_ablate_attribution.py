@@ -147,14 +147,11 @@ def test_fanout_attribution_conserves_and_ranks_stably(
     for seed in SEEDS:
         attribution, hog, totals = runs[seed]
         # Conservation, twice over: each record internally, and the
-        # record set against the independent socket-layer byte counts.
+        # record set (every poll response is a scatter-gather send)
+        # against the independent socket-layer byte counts.
         for record in attribution.finalized:
             assert sum(record.buckets.values()) == record.shipped
-        planned = sorted(
-            record.shipped
-            for record in attribution.finalized
-            if record.kind in ("full", "delta", "push")
-        )
+        planned = sorted(record.shipped for record in attribution.finalized)
         assert sorted(totals) == planned
         top_member, top_bytes = attribution.top_members(1)[0]
         assert top_member == hog, (

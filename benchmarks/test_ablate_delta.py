@@ -30,11 +30,13 @@ from repro.core import (
     parse_envelope,
 )
 from repro.browser.page import Page
+from repro.core.xmlformat import wire_envelope_template
 from repro.html import Text, parse_document
 from repro.net import LAN_PROFILE, Host, Network, parse_url
 from repro.sim import Simulator
 from repro.webserver import OriginServer, StaticSite
 
+from _rcb_compute import served_envelope
 from conftest import write_result
 
 OBJECT_COUNT = 50
@@ -171,12 +173,13 @@ def test_delta_processing_time_small_edit(benchmark, results_dir):
     generator = ContentGenerator()
 
     def generate(document, doc_time):
-        return generator.generate(
-            document, base_url, doc_time=doc_time, cache_session=None
-        ).xml_text
+        generated = generator.generate(document, base_url, cache_session=None)
+        return wire_envelope_template(
+            doc_time, generated.head_segments, generated.top_segments
+        )
 
-    old_envelope = generate(old_document, 1)
-    new_envelope = generate(new_document, 2)
+    old_envelope = served_envelope(generate(old_document, 1))
+    new_envelope = served_envelope(generate(new_document, 2))
     old_tree = content_tree(parse_envelope(old_envelope))
     new_tree = content_tree(parse_envelope(new_envelope))
 

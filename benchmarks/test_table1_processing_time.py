@@ -112,13 +112,10 @@ def test_generation_reused_across_participants(benchmark):
     template, benchmarked here."""
     from repro.core import MouseMoveAction, encode_actions
     from repro.core.serveplan import BroadcastPlan
-    from repro.core.xmlformat import js_escape, wire_envelope_template
+    from repro.core.xmlformat import js_escape
 
     harness = SiteComputeHarness(TABLE1_SITES[4])
-    generated = harness.generate(cache_mode=False)
-    plan = BroadcastPlan(
-        wire_envelope_template(1, generated.head_segments, generated.top_segments)
-    )
+    plan = BroadcastPlan(harness.generate(cache_mode=False))
     actions = [MouseMoveAction(1, 2)]
 
     benchmark(lambda: plan.personalize(js_escape(encode_actions(actions)).encode("ascii")))

@@ -24,6 +24,7 @@ __all__ = [
     "ScrollAction",
     "encode_actions",
     "decode_actions",
+    "decode_action_list",
     "element_reference",
     "resolve_reference",
     "ActionError",
@@ -213,6 +214,12 @@ def decode_actions(text: str) -> List[UserAction]:
         items = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ActionError("bad action payload: %s" % (exc,))
+    return decode_action_list(items)
+
+
+def decode_action_list(items) -> List[UserAction]:
+    """Validate an already-parsed payload (a list of action objects)
+    into action objects."""
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise ActionError("action payload must be a list of objects")
     try:

@@ -15,8 +15,8 @@ request-processing procedure:
   Fig. 4 XML envelope, generated once per document state and reused for
   every participant).
 
-The agent also monitors the host browser: document loads, dynamic DOM
-changes (Ajax/DHTML), and object downloads, via the observer service.
+The agent also monitors the host browser's document loads and dynamic
+DOM changes (Ajax/DHTML) via the observer service.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..browser.browser import Browser, BrowserExtension
-from ..browser.observer import (
-    TOPIC_DOCUMENT_CHANGED,
-    TOPIC_DOCUMENT_LOADED,
-    TOPIC_OBJECT_DOWNLOADED,
-)
+from ..browser.observer import TOPIC_DOCUMENT_CHANGED, TOPIC_DOCUMENT_LOADED
 from ..http import Headers, HttpRequest, HttpResponse, WirePlan, html_response
 from ..http.server import serve_connection
 from ..net.socket import ListenSocket
@@ -59,13 +55,13 @@ from .actions import (
     ScrollAction,
     SubmitAction,
     UserAction,
-    decode_actions,
+    decode_action_list,
     encode_actions,
     resolve_reference,
 )
 from .cachepolicy import coerce_cache_policy
 from .content import AGENT_OBJECT_PATH, ContentGenerator
-from .delta import content_tree, diff_trees
+from .delta import diff_trees
 from .policy import ModerationPolicy, OpenPolicy, PendingAction
 from .security import Authenticator
 from .serveplan import BroadcastPlan, PlanFallback, merge_wire_bodies
@@ -80,9 +76,7 @@ from .transport import (
 )
 from .xmlformat import (
     EMPTY_ACTIONS_WIRE,
-    NewContent,
     WireTemplate,
-    build_envelope,
     js_escape,
     wire_delta_template,
     wire_envelope_template,
@@ -230,8 +224,6 @@ class RCBAgent(BrowserExtension):
 
         #: Mapping table: agent request-URI -> cache key (paper §4.1.1).
         self._object_map: Dict[str, str] = {}
-        #: Absolute URLs the observer recorded downloading (Fig. 3 step 2).
-        self._downloaded_urls: List[str] = []
 
         self._doc_time = 0
         #: The document state ``_delta_memo``, ``_wire_templates`` and
@@ -351,7 +343,6 @@ class RCBAgent(BrowserExtension):
         browser = self.browser
         browser.observers.add_observer(TOPIC_DOCUMENT_LOADED, self._on_document_event)
         browser.observers.add_observer(TOPIC_DOCUMENT_CHANGED, self._on_document_event)
-        browser.observers.add_observer(TOPIC_OBJECT_DOWNLOADED, self._on_object_downloaded)
         self._listener = browser.host.listen(self.port)
         self._accept_proc = browser.sim.process(self._accept_loop())
         if browser.page is not None:
@@ -362,7 +353,6 @@ class RCBAgent(BrowserExtension):
         browser = self.browser
         browser.observers.remove_observer(TOPIC_DOCUMENT_LOADED, self._on_document_event)
         browser.observers.remove_observer(TOPIC_DOCUMENT_CHANGED, self._on_document_event)
-        browser.observers.remove_observer(TOPIC_OBJECT_DOWNLOADED, self._on_object_downloaded)
         self._close_port()
 
     def _close_port(self) -> None:
@@ -385,9 +375,6 @@ class RCBAgent(BrowserExtension):
 
     def _on_document_event(self, _topic, _page) -> None:
         self._bump_doc_time()
-
-    def _on_object_downloaded(self, _topic, loaded) -> None:
-        self._downloaded_urls.append(loaded.url)
 
     def _bump_doc_time(self) -> None:
         # Milliseconds, strictly increasing even within one millisecond.
@@ -652,6 +639,18 @@ class RCBAgent(BrowserExtension):
         if not _well_formed_poll(payload):
             self.stats.inc("bad_poll_bodies")
             return HttpResponse(400, body=b"bad poll body")
+        # Piggybacked actions are validated before anything else of the
+        # poll takes effect: a rejected poll joins nobody and ingests no
+        # telemetry (the snippet resends a rejected poll's digest).
+        actions = payload.get("actions")
+        if actions:
+            try:
+                actions = decode_action_list(actions)
+            except ActionError:
+                self.stats.inc("bad_poll_bodies")
+                return HttpResponse(400, body=b"bad piggybacked actions")
+        else:
+            actions = []
         participant_id = payload.get("participant", client_name)
         participant = self._participant(participant_id)
         participant.polls += 1
@@ -667,16 +666,8 @@ class RCBAgent(BrowserExtension):
                 self.telemetry.ingest(reported_digest, t=self.browser.sim.now)
 
         # Step 1: data merging — piggybacked participant actions.
-        raw_actions = payload.get("actions")
-        if raw_actions:
-            try:
-                actions = decode_actions(json.dumps(raw_actions))
-            except ActionError:
-                return HttpResponse(400, body=b"bad piggybacked actions")
-            for action in actions:
-                yield from self._moderate(participant_id, action)
-        else:
-            actions = []
+        for action in actions:
+            yield from self._moderate(participant_id, action)
 
         # Transport negotiation: the client may request a non-default
         # mode in its payload; a member override (adaptive controller)
@@ -728,7 +719,7 @@ class RCBAgent(BrowserExtension):
                 self.stats.inc("empty_responses")
                 self._record_holds(holds, participant_id)
                 return self._with_transport(
-                    self._xml("", participant=participant_id, kind="empty"), advertise
+                    self._respond(WirePlan(), None, participant_id, "empty"), advertise
                 )
         if self.browser.page is not None and (
             self.always_resend or self._doc_time > their_time
@@ -755,15 +746,18 @@ class RCBAgent(BrowserExtension):
             )
         self._record_holds(holds, participant_id)
         if outbound:
+            # Actions but no new content: the envelope without document
+            # sections, through the same wire template as content.
             participant.outbound_actions = []
-            xml = self._action_only_envelope(outbound)
+            plan = BroadcastPlan(wire_envelope_template(self._doc_time, [], []))
+            body = plan.personalize(self._actions_wire(outbound))
             return self._with_transport(
-                self._xml(xml, participant=participant_id, kind="actions"), advertise
+                self._respond(body, None, participant_id, "actions"), advertise
             )
         # No new content: empty response to avoid hanging requests.
         self.stats.inc("empty_responses")
         return self._with_transport(
-            self._xml("", participant=participant_id, kind="empty"), advertise
+            self._respond(WirePlan(), None, participant_id, "empty"), advertise
         )
 
     def _hold_for_change(self, participant: ParticipantState, duration: float):
@@ -909,36 +903,6 @@ class RCBAgent(BrowserExtension):
             )
             span.finish(end)
 
-    #: Coarse attribution labels for the str bodies :meth:`_xml` ships
-    #: — empty and action-only responses (anything not listed counts as
-    #: document ``body``).
-    _STR_BUCKETS = {"actions": "userActions"}
-
-    def _xml(
-        self,
-        body_text: str,
-        trace_context: Optional[SpanContext] = None,
-        participant: Optional[str] = None,
-        kind: Optional[str] = None,
-    ) -> HttpResponse:
-        headers = Headers([("Content-Type", "application/xml; charset=utf-8")])
-        if trace_context is not None:
-            headers.set(TRACE_HEADER, format_trace_header(trace_context))
-        data = body_text.encode("utf-8")
-        response = HttpResponse(200, headers, data)
-        if self.attribution is not None and participant is not None:
-            buckets = {}
-            if data:
-                buckets[self._STR_BUCKETS.get(kind, "body")] = len(data)
-            response.attribution = self.attribution.begin(
-                self._node_name(),
-                participant,
-                kind or "empty",
-                self._doc_time,
-                buckets,
-            )
-        return response
-
     def _participant(self, participant_id: str) -> ParticipantState:
         state = self.participants.get(participant_id)
         if state is None:
@@ -1015,13 +979,10 @@ class RCBAgent(BrowserExtension):
         generated = self.generator.generate(
             page.document,
             page.url,
-            doc_time=self._doc_time,
             cache_session=self.browser.cache.open_read_session(),
             cache_mode=self.cache_policy.ever_uses_cache,
-            user_actions_json="[]",
             sign_target=sign_target,
             should_cache=should_cache,
-            cookies_json=cookies_json,
             mode_key=mode_key,
             build_canonical=self.enable_delta,
         )
@@ -1064,9 +1025,7 @@ class RCBAgent(BrowserExtension):
             span.finish(now)
             self._remember_content_context(self._doc_time, span.context)
         if self.enable_delta:
-            self._store_snapshot(
-                self._doc_time, mode_key, generated.content, tree=generated.canonical_root
-            )
+            self._store_snapshot(self._doc_time, mode_key, generated.canonical_root)
         return template
 
     def _rewrite_callables(self, mode_key: str, page_url: str, participant_id: str):
@@ -1102,13 +1061,12 @@ class RCBAgent(BrowserExtension):
 
     # -- delta envelopes ---------------------------------------------------------------
 
-    def _store_snapshot(self, doc_time: int, mode_key: str, content, tree=None) -> None:
+    def _store_snapshot(self, doc_time: int, mode_key: str, tree) -> None:
         """Retain the canonical tree of a generated state in the ring.
 
-        ``tree`` is the generator's incrementally-built canonical tree
-        (shares unchanged node objects with the previous snapshot, which
-        is what lets the diff skip them by identity); without one the
-        content is re-parsed from scratch.
+        ``tree`` is the generator's incrementally-built canonical tree:
+        it shares unchanged node objects with the previous snapshot,
+        which is what lets the diff skip them by identity.
         """
         per_mode = self._snapshots.get(doc_time)
         if per_mode is None:
@@ -1116,7 +1074,7 @@ class RCBAgent(BrowserExtension):
                 self._snapshots.popitem(last=False)
             per_mode = self._snapshots[doc_time] = {}
         if mode_key not in per_mode:
-            per_mode[mode_key] = tree if tree is not None else content_tree(content)
+            per_mode[mode_key] = tree
 
     def _snapshot_tree(self, doc_time: int, mode_key: str):
         per_mode = self._snapshots.get(doc_time)
@@ -1336,10 +1294,6 @@ class RCBAgent(BrowserExtension):
         """How many times content generation actually ran (the envelope
         is reused across participants; paper §4.1.2)."""
         return self._generation_count
-
-    def _action_only_envelope(self, actions: List[UserAction]) -> str:
-        content = NewContent(self._doc_time, [], [], encode_actions(actions))
-        return build_envelope(content)
 
     # -- action moderation and application -----------------------------------------------------
 

@@ -14,10 +14,13 @@ participant needs to render the same page:
    Ajax-Snippet functions, tagging each interactive element with a
    stable reference so its actions can be resolved on the host.
 5. Extract attribute lists and innerHTML values of the top-level
-   children and assemble the Fig. 4 XML envelope.
+   children as the escaped, pre-encoded payloads of the Fig. 4 XML
+   envelope's sections.
 
-The generator runs once per new document state; the produced XML is
-reusable for every connected participant (paper §4.1.2).
+The generator runs once per new document state; the agent wraps the
+produced payloads into one wire template (see
+:func:`repro.core.xmlformat.wire_envelope_template`) reusable for every
+connected participant (paper §4.1.2).
 
 **Incremental generation.**  The paper's pipeline is O(page) per
 document change.  When the caller passes a ``mode_key``, the generator
@@ -25,9 +28,9 @@ retains the previous rewritten clone and, on the next generation,
 re-clones and re-rewrites only subtrees whose DOM version stamps (see
 :mod:`repro.html.dom`) changed — every untouched subtree is the *same*
 clone object, its serialized segment comes from the serializer's
-segment cache, and its envelope payload string is reused outright.  The
+segment cache, and its section payload bytes are reused outright.  The
 output is byte-identical to a from-scratch run because both paths share
-one builder and one envelope assembler.  Reuse is fenced by a
+one payload builder.  Reuse is fenced by a
 fingerprint of everything besides the DOM that influences rewriting
 (base URL, cache-mode flag + cache content revision, the signing and
 cache-policy callables, the observer URL map); any mismatch falls back
@@ -49,24 +52,10 @@ from ..browser.cache import CacheReadSession
 from ..html import Document, Element
 from ..html.dom import RAW_TEXT_ELEMENTS, Comment, Node, Text
 from ..html.parser import _SELF_CLOSING_SIBLINGS
-from ..html.serializer import (
-    SegmentCache,
-    serialize_children,
-    serialize_children_cached,
-    transform_children_cached,
-)
+from ..html.serializer import SegmentCache, serialize_children, transform_children_cached
 from ..http import quote
 from ..net.url import Url, UrlError, parse_url, resolve_url
-from .xmlformat import (
-    PAYLOAD_SUFFIX,
-    HeadChild,
-    NewContent,
-    TopElement,
-    assemble_envelope,
-    head_child_prefix,
-    payload_encode,
-    top_element_prefix,
-)
+from .xmlformat import PAYLOAD_SUFFIX, head_child_prefix, payload_encode, top_element_prefix
 
 __all__ = ["ContentGenerator", "GeneratedContent", "OBJECT_URL_ATTRIBUTES", "AGENT_OBJECT_PATH"]
 
@@ -108,12 +97,13 @@ _EVENT_SLOT: Dict[str, int] = {tag: slot for slot, tag in enumerate(_EVENT_TAGS)
 
 
 class GeneratedContent:
-    """One generation result: envelope text plus bookkeeping."""
+    """One generation result: the section payloads the agent serves,
+    plus bookkeeping."""
 
     def __init__(
         self,
-        content: NewContent,
-        xml_text: str,
+        head_segments: List[bytes],
+        top_segments: List[Tuple[str, bytes]],
         object_map: Dict[str, str],
         generation_seconds: float,
         urls_rewritten: int,
@@ -125,21 +115,24 @@ class GeneratedContent:
         reused_subtrees: int = 0,
         urlcache_hits: int = 0,
         canonical_root: Optional[Element] = None,
-        head_segments: Optional[List[bytes]] = None,
-        top_segments: Optional[List[Tuple[str, bytes]]] = None,
     ):
-        self.content = content
-        self.xml_text = xml_text
+        #: Pre-encoded (ASCII bytes) section payloads, in envelope
+        #: order: one per head child, and one ``(name, payload)`` per
+        #: top element (``body``/``frameset``/``noframes``).  Cached per
+        #: clone element across generations.
+        self.head_segments = head_segments
+        self.top_segments = top_segments
         #: agent request-URI -> cache key (the paper's mapping table).
         self.object_map = object_map
-        #: Wall-clock time spent generating (the paper's M5 metric).
+        #: Wall-clock time spent generating (the paper's M5 metric,
+        #: less the agent's wire-template assembly).
         self.generation_seconds = generation_seconds
         self.urls_rewritten = urls_rewritten
         self.cache_rewrites = cache_rewrites
         #: ``"full"`` or ``"incremental"`` — which pipeline ran.
         self.mode = mode
         #: Envelope sections (head children / top elements) whose cached
-        #: payload string was reused, out of ``segments_total``.
+        #: payload bytes were reused, out of ``segments_total``.
         self.segments_reused = segments_reused
         self.segments_total = segments_total
         #: Clone subtrees rebuilt because their source versions changed,
@@ -152,10 +145,6 @@ class GeneratedContent:
         #: unchanged subtrees are shared with the previous snapshot, so
         #: version-guided diffs skip them without descending).
         self.canonical_root = canonical_root
-        #: Pre-encoded (ASCII bytes) section payloads for the zero-copy
-        #: wire path, cached per clone element across generations.
-        self.head_segments = head_segments
-        self.top_segments = top_segments
 
     @property
     def reuse_ratio(self) -> float:
@@ -167,8 +156,8 @@ class GeneratedContent:
         return self.reused_subtrees / touched
 
     def __repr__(self):
-        return "GeneratedContent(%d bytes xml, %d cache objects, %.4fs, %s)" % (
-            len(self.xml_text),
+        return "GeneratedContent(%d sections, %d cache objects, %.4fs, %s)" % (
+            len(self.head_segments) + len(self.top_segments),
             len(self.object_map),
             self.generation_seconds,
             self.mode,
@@ -250,18 +239,16 @@ class ContentGenerator:
         self,
         document: Document,
         base_url: Url,
-        doc_time: int,
         cache_session: Optional[CacheReadSession] = None,
         cache_mode: bool = False,
         url_map: Optional[Dict[str, str]] = None,
-        user_actions_json: str = "[]",
         sign_target=None,
         should_cache=None,
-        cookies_json: str = "[]",
         mode_key: Optional[str] = None,
         build_canonical: bool = False,
     ) -> GeneratedContent:
-        """Produce the envelope for the document's current state.
+        """Produce the envelope section payloads for the document's
+        current state.
 
         ``url_map`` maps raw attribute values to the absolute URLs the
         observer recorded during the host's own download (Fig. 3 step 2);
@@ -284,10 +271,7 @@ class ContentGenerator:
         calls — fresh closures per call force a full rebuild every time.
         ``build_canonical`` additionally builds the canonical content
         tree (:func:`repro.core.delta.content_tree` shape) with
-        unchanged subtrees shared against the previous build.  Each
-        section's payload is also exposed pre-encoded to ASCII bytes
-        (cached per clone element, like the payload strings), for the
-        zero-copy wire templates.
+        unchanged subtrees shared against the previous build.
         """
         started = time.perf_counter()
         root = document.document_element
@@ -316,35 +300,19 @@ class ContentGenerator:
 
         # Step 5: extract per-child attribute lists and innerHTML values,
         # through the per-section payload cache.
-        head_children: List[HeadChild] = []
-        head_payloads: List[str] = []
         head_clones: List[Element] = []
-        top_elements: List[TopElement] = []
-        top_payloads: List[Tuple[str, str]] = []
         top_clones: List[Element] = []
         head_segments: List[bytes] = []
         top_segments: List[Tuple[str, bytes]] = []
         for child in clone.children:
             if child.tag == "head":
                 for head_child in child.children:
-                    record, payload = self._segment(head_child, True, gen)
-                    head_children.append(record)
-                    head_payloads.append(payload)
+                    head_segments.append(self._segment(head_child, True, gen))
                     head_clones.append(head_child)
-                    head_segments.append(self._segment_bytes(head_child))
             elif child.tag in ("body", "frameset", "noframes"):
-                record, payload = self._segment(child, False, gen)
-                top_elements.append(record)
-                top_payloads.append((record.name, payload))
+                top_segments.append((child.tag, self._segment(child, False, gen)))
                 top_clones.append(child)
-                top_segments.append((record.name, self._segment_bytes(child)))
 
-        content = NewContent(
-            doc_time, head_children, top_elements, user_actions_json, cookies_json
-        )
-        xml_text = assemble_envelope(
-            doc_time, head_payloads, top_payloads, user_actions_json, cookies_json
-        )
         canonical_root = None
         if build_canonical:
             canonical_root = self._canonical(head_clones, top_clones)
@@ -361,8 +329,8 @@ class ContentGenerator:
         elapsed = time.perf_counter() - started
         self.generations += 1
         return GeneratedContent(
-            content,
-            xml_text,
+            head_segments,
+            top_segments,
             dict(gen.object_map),
             elapsed,
             gen.urls_rewritten,
@@ -374,8 +342,6 @@ class ContentGenerator:
             reused_subtrees=gen.reused_subtrees,
             urlcache_hits=self.url_cache_hits - url_hits_before,
             canonical_root=canonical_root,
-            head_segments=head_segments,
-            top_segments=top_segments,
         )
 
     def forget(self, mode_key: Optional[str] = None) -> None:
@@ -503,14 +469,15 @@ class ContentGenerator:
 
     # -- envelope sections -----------------------------------------------------------
 
-    def _segment(self, element: Element, is_head_child: bool, gen: _GenPass):
-        """``(record, payload)`` for one envelope section, cached on the
-        clone element keyed by its subtree version."""
+    def _segment(self, element: Element, is_head_child: bool, gen: _GenPass) -> bytes:
+        """One envelope section's payload, pre-encoded to immutable ASCII
+        bytes (payloads are pure ASCII: js_escape leaves nothing above
+        0x7F unescaped) and cached on the clone element keyed by its
+        subtree version."""
         gen.segments_total += 1
         if getattr(element, "_rcb_seg_ver", None) == element._subtree_version:
             gen.segments_reused += 1
-            return element._rcb_record, element._rcb_payload
-        inner = serialize_children_cached(element, self.segment_cache)
+            return element._rcb_payload
         # Spliced payload: escaped record prefix + cached per-subtree
         # encoded segments + constant closer.  Byte-identical to
         # js_escape(json.dumps(record)) because both component escapes
@@ -519,27 +486,13 @@ class ContentGenerator:
             element, payload_encode, self.encoded_cache, self.segment_cache
         )
         if is_head_child:
-            record = HeadChild(element.tag, element.attributes, inner)
-            payload = head_child_prefix(record.tag, record.attributes) + encoded + PAYLOAD_SUFFIX
+            prefix = head_child_prefix(element.tag, element.attributes)
         else:
-            record = TopElement(element.tag, element.attributes, inner)
-            payload = top_element_prefix(record.attributes) + encoded + PAYLOAD_SUFFIX
-        element._rcb_record = record
+            prefix = top_element_prefix(element.attributes)
+        payload = (prefix + encoded + PAYLOAD_SUFFIX).encode("ascii")
         element._rcb_payload = payload
         element._rcb_seg_ver = element._subtree_version
-        return record, payload
-
-    @staticmethod
-    def _segment_bytes(element: Element) -> bytes:
-        """The element's payload pre-encoded to immutable ASCII bytes,
-        cached alongside the payload string (payloads are pure ASCII:
-        js_escape leaves nothing above 0x7F unescaped)."""
-        if getattr(element, "_rcb_payload_b_ver", None) == element._subtree_version:
-            return element._rcb_payload_b
-        payload_b = element._rcb_payload.encode("ascii")
-        element._rcb_payload_b = payload_b
-        element._rcb_payload_b_ver = element._subtree_version
-        return payload_b
+        return payload
 
     # -- canonical snapshot tree -------------------------------------------------------
 
@@ -637,16 +590,6 @@ class ContentGenerator:
         clone_el._rcb_canon_ver = clone_el._subtree_version
         return canon
 
-    # -- traversal -----------------------------------------------------------------
-
-    @staticmethod
-    def _walk(root: Element):
-        """The clone root plus its descendant elements, pre-order —
-        matching the traversal order used to resolve references on the
-        host document."""
-        yield root
-        yield from root.descendant_elements()
-
     # -- step 2: relative -> absolute ------------------------------------------------
 
     def _rewrite_urls_memo(self, element: Element, gen: _GenPass) -> int:
@@ -682,38 +625,6 @@ class ContentGenerator:
         if len(memo) > self._url_cache_size:
             memo.popitem(last=False)
         return absolute
-
-    def _rewrite_urls(
-        self, element: Element, base_url: Url, url_map: Optional[Dict[str, str]]
-    ) -> int:
-        """Uncached single-element form (kept for direct callers)."""
-        attributes = _URL_ATTRIBUTES_BY_TAG.get(element.tag)
-        if attributes is None:
-            return 0
-        rewritten = 0
-        for attribute in attributes:
-            raw = element.get_attribute(attribute)
-            if not raw:
-                continue
-            absolute = self._to_absolute(raw, base_url, url_map)
-            if absolute is not None and absolute != raw:
-                element.set_attribute(attribute, absolute)
-                rewritten += 1
-        return rewritten
-
-    @staticmethod
-    def _to_absolute(
-        raw: str, base_url: Url, url_map: Optional[Dict[str, str]]
-    ) -> Optional[str]:
-        if url_map and raw in url_map:
-            return url_map[raw]
-        try:
-            parsed = parse_url(raw)
-            if parsed.is_absolute:
-                return raw
-            return str(resolve_url(base_url, parsed))
-        except UrlError:
-            return None
 
     # -- step 3: absolute -> agent URL (cache mode) -------------------------------------
 

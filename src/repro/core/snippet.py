@@ -515,19 +515,19 @@ class AjaxSnippet:
         self.last_apply_context = span.context
 
     def _process_response(
-        self, xml_text: str, poll_started: float, trace_header: Optional[str] = None
+        self, body_text: str, poll_started: float, trace_header: Optional[str] = None
     ):
         """Apply one response body.  A streamed-push response packs
         several envelopes back to back; each starts with the XML
         declaration, so splitting on it recovers the stream, applied in
         arrival order (each delta's base is the envelope before it)."""
-        if xml_text.count(_XML_DECL) <= 1:
+        if body_text.count(_XML_DECL) <= 1:
             applied = yield from self._process_envelope(
-                xml_text, poll_started, trace_header
+                body_text, poll_started, trace_header
             )
             return applied
         applied_any = False
-        for chunk in xml_text.split(_XML_DECL):
+        for chunk in body_text.split(_XML_DECL):
             if not chunk:
                 continue
             applied = yield from self._process_envelope(
@@ -548,10 +548,10 @@ class AjaxSnippet:
         return max(0.0, self.sim.now - started)
 
     def _process_envelope(
-        self, xml_text: str, poll_started: float, trace_header: Optional[str] = None
+        self, body_text: str, poll_started: float, trace_header: Optional[str] = None
     ):
         try:
-            content = parse_envelope(xml_text)
+            content = parse_envelope(body_text)
         except EnvelopeError:
             self.stats.empty_responses += 1
             return False

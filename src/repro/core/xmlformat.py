@@ -369,7 +369,8 @@ def assemble_envelope(
 
 
 def build_envelope(content: NewContent) -> str:
-    """Serialize a :class:`NewContent` to the Fig. 4 XML text."""
+    """Serialize a :class:`NewContent` to the Fig. 4 XML text: the
+    reference encoder tests hold every served wire template to."""
     if not content.is_delta:
         return assemble_envelope(
             content.doc_time,

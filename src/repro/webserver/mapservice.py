@@ -258,9 +258,9 @@ class MapPageDriver:
         self.browser.mutate_document(mutate)
 
 
-def _extract(xml_text: str, tag: str) -> str:
+def _extract(text: str, tag: str) -> str:
     open_tag = "<%s>" % tag
     close_tag = "</%s>" % tag
-    start = xml_text.index(open_tag) + len(open_tag)
-    end = xml_text.index(close_tag, start)
-    return xml_text[start:end]
+    start = text.index(open_tag) + len(open_tag)
+    end = text.index(close_tag, start)
+    return text[start:end]

@@ -4,17 +4,20 @@ Every cost-attributed response must decompose exactly: the labeled
 payload buckets (head / body / delta / userActions / docCookies) plus
 the framing residual equal the bytes actually written to the
 connection — for full, delta, long-poll, and push envelopes, and for
-the coarse empty and action-only string responses.  And holding
-the cost books must be free on the wire: a session with attribution
-attached ships byte-identical traffic to one without.
+empty and action-only responses.  And holding the cost books must be
+free on the wire: a session with attribution attached ships
+byte-identical traffic to one without.
 """
 
+import json
 import string
 
 from hypothesis import given, settings, strategies as st
 
 from repro.browser import Browser
-from repro.core import CoBrowsingSession, MouseMoveAction, RCBAgent
+from repro.core import CoBrowsingSession, MouseMoveAction, RCBAgent, encode_actions
+from repro.core.xmlformat import js_escape
+from repro.http import HttpRequest
 from repro.html import Text
 from repro.net import LAN_PROFILE, Host, Network
 from repro.net.socket import Connection
@@ -119,19 +122,37 @@ class TestFixedEnvelopes:
         assert with_actions.buckets["body"] == bare.buckets["body"]
 
     def test_empty_and_action_only_envelopes(self):
+        """An empty poll is all framing; an action-only poll labels only
+        its actions payload, like every other envelope kind."""
         browser, agent = build_agent(attribution=RecordingAttribution())
-        del browser
-        response = agent._xml("", participant="m1", kind="empty")
-        shipped = len(response.to_bytes())
-        record = response.attribution.finalize(0.0, shipped)
+
+        def poll():
+            body = json.dumps(
+                {"participant": "m1", "timestamp": agent.doc_time, "transport": "poll"}
+            ).encode()
+            request = HttpRequest("POST", "/poll", None, body)
+            response = browser.sim.run_until_complete(
+                browser.sim.process(agent._poll_response(request, "m1"))
+            )
+            shipped = len(response.to_bytes())
+            return response.attribution.finalize(0.0, shipped), shipped
+
+        record, shipped = poll()
+        assert record.kind == "empty"
         assert record.buckets == {"framing": shipped}
 
-        xml = "<userActions>fake</userActions>"
-        response = agent._xml(xml, participant="m1", kind="actions")
-        shipped = len(response.to_bytes())
-        record = response.attribution.finalize(0.0, shipped)
-        assert record.buckets["userActions"] == len(xml.encode("utf-8"))
-        assert sum(record.buckets.values()) == shipped
+        action = MouseMoveAction(3, 4)
+        agent.broadcast_action(action)
+        record, shipped = poll()
+        assert record.kind == "actions"
+        actions_bytes = len(js_escape(encode_actions([action])))
+        assert record.buckets == {
+            "head": 0,
+            "body": 0,
+            "userActions": actions_bytes,
+            "framing": shipped - actions_bytes,
+        }
+        assert sum(record.buckets.values()) == shipped == record.shipped
 
     def test_push_merge_preserves_bucket_sums(self):
         """``WirePlan.extend_plan`` (the push-stream envelope merge)
@@ -223,13 +244,10 @@ class TestSessionConservation:
         for record in attribution.finalized:
             assert sum(record.buckets.values()) == record.shipped
             assert set(record.buckets) <= ALL_BUCKETS
-        # Every scatter-gather send was an attributed plan response:
-        # the independent per-send byte counts match the records.
-        planned = sorted(
-            record.shipped
-            for record in attribution.finalized
-            if record.kind in ("full", "delta", "push")
-        )
+        # Every poll response, empty and action-only included, is a
+        # scatter-gather send: the independent per-send byte counts
+        # match the records one for one.
+        planned = sorted(record.shipped for record in attribution.finalized)
         assert sorted(sendv_totals) == planned
         assert attribution.total_bytes == sum(
             record.shipped for record in attribution.finalized

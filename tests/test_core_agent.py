@@ -20,6 +20,7 @@ from repro.core import (
 from repro.html import Text
 from repro.http import HttpClient, HttpRequest
 from repro.net import LAN_PROFILE, Host, Network
+from repro.obs import FleetView, TelemetryDigest
 from repro.sim import Simulator
 from repro.webserver import OriginServer, StaticSite
 
@@ -493,9 +494,55 @@ MALFORMED_POLL_BODIES = {
 }
 
 
+#: Piggybacked action lists of well-formed poll bodies that fail action
+#: validation.
+BAD_PIGGYBACKED_ACTIONS = {
+    "not-an-object": [1],
+    "unknown-kind": [{"kind": "nope"}],
+    "bad-coordinate": [{"kind": "mousemove", "x": "left"}],
+}
+
+
 class TestMalformedPollBodies:
     """A poll body of the wrong shape gets a counted 400; the agent
     keeps serving everyone else."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_PIGGYBACKED_ACTIONS))
+    def test_bad_piggybacked_actions_are_rejected_before_side_effects(self, name):
+        """A poll whose actions fail validation is a counted 400 that
+        registers no member and ingests no telemetry digest (the
+        snippet resends a rejected poll's digest)."""
+        fleet = FleetView()
+        sim, host_browser, agent, _client = build_world({"telemetry": fleet})
+        digest = TelemetryDigest()
+        digest.member("mallory").bump("polls")
+        blob = digest.encode()
+
+        def body(actions):
+            return json.dumps(
+                {"participant": "mallory", "timestamp": 0, "actions": actions, "telemetry": blob}
+            ).encode()
+
+        def scenario():
+            yield from host_browser.navigate("http://site.com/")
+            bad = yield from agent._poll_response(
+                HttpRequest("POST", "/poll", None, body(BAD_PIGGYBACKED_ACTIONS[name])),
+                "mallory-pc",
+            )
+            rejected = (agent.roster(), fleet.digests_ingested)
+            good = yield from agent._poll_response(
+                HttpRequest("POST", "/poll", None, body([])), "mallory-pc"
+            )
+            return bad, rejected, good
+
+        bad, rejected, good = run(sim, scenario())
+        assert (bad.status, bad.body) == (400, b"bad piggybacked actions")
+        assert agent.stats["bad_poll_bodies"] == 1
+        assert rejected == ([], 0)
+        # The same digest on a valid poll is ingested: the reject, not
+        # the blob, kept it out.
+        assert good.status == 200
+        assert (agent.roster(), fleet.digests_ingested) == (["mallory"], 1)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_POLL_BODIES))
     def test_direct_poll_is_a_counted_400(self, name):

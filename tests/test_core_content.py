@@ -5,6 +5,8 @@ import pytest
 from repro.browser import BrowserCache
 from repro.core import ContentGenerator, REF_ATTRIBUTE
 from repro.core.security import sign_request_target, verify_request_target
+from repro.core.serveplan import BroadcastPlan
+from repro.core.xmlformat import parse_envelope, wire_envelope_template
 from repro.html import parse_document, serialize_document
 from repro.net import parse_url
 
@@ -30,7 +32,6 @@ def generate(markup=MARKUP, cache=None, cache_mode=False, sign=None, url_map=Non
     result = generator.generate(
         document,
         BASE,
-        doc_time=1000,
         cache_session=session,
         cache_mode=cache_mode,
         url_map=url_map,
@@ -39,20 +40,29 @@ def generate(markup=MARKUP, cache=None, cache_mode=False, sign=None, url_map=Non
     return document, result
 
 
+def served_content(result, doc_time=1000):
+    """The envelope the agent serves from a generation (its wire
+    template with no queued actions), parsed back."""
+    template = wire_envelope_template(doc_time, result.head_segments, result.top_segments)
+    body = BroadcastPlan(template).personalize(None).to_bytes()
+    return parse_envelope(body.decode("ascii"))
+
+
 def participant_view(result):
     """Reassemble the participant-side document from the envelope."""
     from repro.html import Document, Element
 
+    content = served_content(result)
     document = Document()
     html = Element("html")
     document.append_child(html)
     head = Element("head")
     html.append_child(head)
-    for record in result.content.head_children:
+    for record in content.head_children:
         child = Element(record.tag, dict(record.attributes))
         child.inner_html = record.inner_html
         head.append_child(child)
-    for top in result.content.top_elements:
+    for top in content.top_elements:
         element = Element(top.name, dict(top.attributes))
         element.inner_html = top.inner_html
         html.append_child(element)
@@ -242,12 +252,12 @@ class TestEventRewriting:
 class TestExtraction:
     def test_head_children_extracted_in_order(self):
         _document, result = generate()
-        tags = [c.tag for c in result.content.head_children]
+        tags = [c.tag for c in served_content(result).head_children]
         assert tags == ["title", "link", "script"]
 
     def test_body_extracted(self):
         _document, result = generate()
-        (top,) = result.content.top_elements
+        (top,) = served_content(result).top_elements
         assert top.name == "body"
         assert "rcbSubmit" in top.inner_html
 
@@ -257,14 +267,20 @@ class TestExtraction:
             "<frameset rows='1,2'><frame src='a.html'></frameset>"
             "<noframes><p>none</p></noframes></html>"
         )
-        names = [t.name for t in result.content.top_elements]
+        top_elements = served_content(result).top_elements
+        names = [t.name for t in top_elements]
         assert names == ["frameset", "noframes"]
-        frameset = result.content.top_elements[0]
+        frameset = top_elements[0]
         assert 'src="http://site.com/dir/a.html"' in frameset.inner_html
 
     def test_doc_time_carried(self):
+        """The payloads carry no stamp: the wire template wrapping them
+        carries whichever doc_time the agent serves them under."""
         _document, result = generate()
-        assert result.content.doc_time == 1000
+        for doc_time in (1000, 2000):
+            content = served_content(result, doc_time)
+            assert content.doc_time == doc_time
+            assert content.top_elements == served_content(result).top_elements
 
     def test_generation_seconds_positive(self):
         _document, result = generate()
@@ -274,4 +290,4 @@ class TestExtraction:
         from repro.html import Document
 
         with pytest.raises(ValueError):
-            ContentGenerator().generate(Document(), BASE, doc_time=1)
+            ContentGenerator().generate(Document(), BASE)

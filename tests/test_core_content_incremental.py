@@ -24,9 +24,11 @@ from repro.core.xmlformat import (
     PAYLOAD_SUFFIX,
     HeadChild,
     assemble_envelope,
+    build_envelope,
     head_child_payload,
     head_child_prefix,
     js_escape,
+    parse_envelope,
     payload_encode,
     top_element_prefix,
     wire_envelope_template,
@@ -48,27 +50,34 @@ MARKUP = (
 )
 
 
-def fresh_envelope(document, doc_time, **kwargs):
-    """A from-scratch generation with a brand-new generator."""
-    return ContentGenerator().generate(document, BASE, doc_time=doc_time, **kwargs).xml_text
+def served_bytes(result, doc_time=1):
+    """The envelope the agent serves from a generation: its wire
+    template with no queued actions."""
+    template = wire_envelope_template(doc_time, result.head_segments, result.top_segments)
+    return BroadcastPlan(template).personalize(None).to_bytes()
+
+
+def served_content(result):
+    """The served envelope of a generation, parsed back."""
+    return parse_envelope(served_bytes(result).decode("ascii"))
+
+
+def fresh_envelope(document, doc_time=1, **kwargs):
+    """The served envelope of a from-scratch generation with a
+    brand-new generator."""
+    return served_bytes(ContentGenerator().generate(document, BASE, **kwargs), doc_time)
 
 
 def assert_identical(generator, document, doc_time, **kwargs):
-    """Incremental output must match a from-scratch run byte for byte,
-    and the wire template built from its pre-encoded segment bytes must
-    serve exactly that envelope."""
+    """The envelope served from an incremental generation must match a
+    from-scratch run byte for byte, and be exactly the reference
+    builder's encoding of the content it carries."""
     result = generator.generate(
-        document, BASE, doc_time=doc_time, mode_key="m", build_canonical=True, **kwargs
+        document, BASE, mode_key="m", build_canonical=True, **kwargs
     )
-    assert result.xml_text == fresh_envelope(document, doc_time, **kwargs)
-    template = wire_envelope_template(
-        doc_time,
-        result.head_segments,
-        result.top_segments,
-        cookies_json=kwargs.get("cookies_json", "[]"),
-    )
-    served = BroadcastPlan(template).personalize(None).to_bytes()
-    assert served == result.xml_text.encode("ascii")
+    served = served_bytes(result, doc_time)
+    assert served == fresh_envelope(document, doc_time, **kwargs)
+    assert build_envelope(parse_envelope(served.decode("ascii"))).encode("ascii") == served
     return result
 
 
@@ -139,8 +148,8 @@ def random_edit(document, kind, index, text):
     )
 )
 def test_random_edit_sequences_stay_byte_identical(edits):
-    """Across random incremental edits, each generation's xml_text and
-    its segment-built wire template agree with a from-scratch run."""
+    """Across random incremental edits, each generation's served
+    envelope agrees with a from-scratch run and the reference builder."""
     document = parse_document(MARKUP)
     generator = ContentGenerator()
     assert_identical(generator, document, 1)
@@ -188,14 +197,12 @@ def test_forget_drops_state():
 def test_url_map_change_falls_back_to_full():
     document = parse_document(MARKUP)
     generator = ContentGenerator()
-    assert generator.generate(
-        document, BASE, doc_time=1, mode_key="m"
-    ).mode == "full"
+    assert generator.generate(document, BASE, mode_key="m").mode == "full"
     result = generator.generate(
-        document, BASE, doc_time=2, mode_key="m", url_map={"css/main.css": "http://cdn/x.css"}
+        document, BASE, mode_key="m", url_map={"css/main.css": "http://cdn/x.css"}
     )
     assert result.mode == "full"
-    link_attrs = dict(result.content.head_children[1].attributes)
+    link_attrs = dict(served_content(result).head_children[1].attributes)
     assert link_attrs["href"] == "http://cdn/x.css"
 
 
@@ -211,17 +218,17 @@ def test_fresh_callables_fall_back_stable_callables_reuse():
     stable = make_should_cache()
     session = cache.open_read_session()
     first = generator.generate(
-        document, BASE, doc_time=1, mode_key="m",
+        document, BASE, mode_key="m",
         cache_session=session, cache_mode=True, should_cache=stable,
     )
     assert first.mode == "full"
     again = generator.generate(
-        document, BASE, doc_time=2, mode_key="m",
+        document, BASE, mode_key="m",
         cache_session=session, cache_mode=True, should_cache=stable,
     )
     assert again.mode == "incremental"
     fresh = generator.generate(
-        document, BASE, doc_time=3, mode_key="m",
+        document, BASE, mode_key="m",
         cache_session=session, cache_mode=True, should_cache=make_should_cache(),
     )
     assert fresh.mode == "full"
@@ -236,27 +243,27 @@ def test_cache_revision_invalidates_reuse():
     should_cache = lambda url, content_type, size: True
     session = cache.open_read_session()
     kwargs = dict(cache_session=session, cache_mode=True, should_cache=should_cache)
-    generator.generate(document, BASE, doc_time=1, mode_key="m", **kwargs)
+    generator.generate(document, BASE, mode_key="m", **kwargs)
     cache.store("http://site.com/css/main.css", "text/css", b"body{}")
-    result = generator.generate(document, BASE, doc_time=2, mode_key="m", **kwargs)
+    result = generator.generate(document, BASE, mode_key="m", **kwargs)
     assert result.mode == "full"
-    assert result.xml_text == fresh_envelope(document, 2, **kwargs)
+    assert served_bytes(result) == fresh_envelope(document, **kwargs)
     assert result.cache_rewrites > 0
 
 
 def test_distinct_mode_keys_are_independent():
     document = parse_document(MARKUP)
     generator = ContentGenerator()
-    a1 = generator.generate(document, BASE, doc_time=1, mode_key="a")
-    b1 = generator.generate(document, BASE, doc_time=1, mode_key="b")
+    a1 = generator.generate(document, BASE, mode_key="a")
+    b1 = generator.generate(document, BASE, mode_key="b")
     assert a1.mode == b1.mode == "full"
-    assert a1.xml_text == b1.xml_text
+    assert served_bytes(a1) == served_bytes(b1)
     div(document, 2).set_attribute("class", "x")
-    a2 = generator.generate(document, BASE, doc_time=2, mode_key="a")
+    a2 = generator.generate(document, BASE, mode_key="a")
     assert a2.mode == "incremental"
-    b2 = generator.generate(document, BASE, doc_time=2, mode_key="b")
+    b2 = generator.generate(document, BASE, mode_key="b")
     assert b2.mode == "incremental"
-    assert a2.xml_text == b2.xml_text
+    assert served_bytes(a2) == served_bytes(b2)
 
 
 # -- caches and counters ------------------------------------------------------------
@@ -265,11 +272,11 @@ def test_distinct_mode_keys_are_independent():
 def test_url_memo_hits_on_regeneration():
     document = parse_document(MARKUP)
     generator = ContentGenerator()
-    first = generator.generate(document, BASE, doc_time=1, mode_key="m")
+    first = generator.generate(document, BASE, mode_key="m")
     assert first.urlcache_hits == 0 or first.urls_rewritten > 0
     # Force full rebuild via forget: every URL resolves again, now memoized.
     generator.forget()
-    second = generator.generate(document, BASE, doc_time=2, mode_key="m")
+    second = generator.generate(document, BASE, mode_key="m")
     assert second.mode == "full"
     assert second.urlcache_hits > 0
     assert second.urls_rewritten == first.urls_rewritten
@@ -278,9 +285,9 @@ def test_url_memo_hits_on_regeneration():
 def test_segment_cache_serves_unchanged_sections():
     document = parse_document(MARKUP)
     generator = ContentGenerator()
-    generator.generate(document, BASE, doc_time=1, mode_key="m")
+    generator.generate(document, BASE, mode_key="m")
     div(document, 5).set_attribute("class", "x")
-    result = generator.generate(document, BASE, doc_time=2, mode_key="m")
+    result = generator.generate(document, BASE, mode_key="m")
     # Head untouched: its section payload is reused outright.
     assert result.segments_reused >= 1
     assert generator.segment_cache.hits > 0
@@ -293,9 +300,9 @@ def test_segment_cache_serves_unchanged_sections():
 def canonical_pair(markup, mutate):
     document = parse_document(markup)
     generator = ContentGenerator()
-    first = generator.generate(document, BASE, doc_time=1, mode_key="m", build_canonical=True)
+    first = generator.generate(document, BASE, mode_key="m", build_canonical=True)
     mutate(document)
-    second = generator.generate(document, BASE, doc_time=2, mode_key="m", build_canonical=True)
+    second = generator.generate(document, BASE, mode_key="m", build_canonical=True)
     return first, second
 
 
@@ -304,7 +311,7 @@ def test_canonical_matches_participant_parse():
         MARKUP, lambda d: div(d, 4).child_nodes[0].append_child(Text("!"))
     )
     for result in (first, second):
-        assert diff_trees(content_tree(result.content), result.canonical_root) == []
+        assert diff_trees(content_tree(served_content(result)), result.canonical_root) == []
 
 
 def test_canonical_shares_unchanged_subtrees_and_diffs_small():
@@ -339,7 +346,7 @@ def test_canonical_guard_fallbacks_match_parse(mutate):
     """Trees the parser would restructure must fall back to a localized
     round trip so the snapshot still mirrors the participant's parse."""
     _first, second = canonical_pair(MARKUP, mutate)
-    assert diff_trees(content_tree(second.content), second.canonical_root) == []
+    assert diff_trees(content_tree(served_content(second)), second.canonical_root) == []
 
 
 # -- spliced payload encoding -------------------------------------------------------
@@ -393,12 +400,14 @@ def test_splice_preserves_sections_after_user_actions():
 
 
 def test_splice_equals_regenerated_envelope():
+    """Splicing actions into a generation's template gives the envelope
+    the reference builder regenerates with those actions in place."""
     document = parse_document(MARKUP)
     actions = [ClickAction("ref-9")]
-    plain = ContentGenerator().generate(document, BASE, doc_time=5)
-    direct = ContentGenerator().generate(
-        document, BASE, doc_time=5, user_actions_json=encode_actions(actions)
-    ).xml_text
+    plain = ContentGenerator().generate(document, BASE)
     template = wire_envelope_template(5, plain.head_segments, plain.top_segments)
     spliced = BroadcastPlan(template).personalize(_actions_wire(actions)).to_bytes()
-    assert spliced == direct.encode("ascii")
+    content = parse_envelope(served_bytes(plain, 5).decode("ascii"))
+    assert content.top_elements
+    content.user_actions_json = encode_actions(actions)
+    assert spliced == build_envelope(content).encode("ascii")

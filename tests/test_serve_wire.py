@@ -1,13 +1,16 @@
 """Zero-copy wire path: WirePlan mechanics and the one serve pipeline.
 
-Every poll body comes from a broadcast plan: shared pre-encoded template
-buffers plus a per-member userActions splice.  Two oracles pin the bytes
-it ships:
+Every poll body is a wire plan.  Content and action-only envelopes come
+from a broadcast plan: shared pre-encoded template buffers plus a
+per-member userActions splice; an empty answer is an empty plan.  Two
+oracles pin the bytes the agent ships:
 
 * **Golden fixtures** (``fixtures/serve_wire_golden.json``) hold the
   exact responses, fallback stats and fallback events of the fixed cases
   in :data:`GOLDEN_CASES`.  They were captured while the per-member
-  string serve path still existed, and checked equal to it byte for byte.
+  string serve path still existed, and checked equal to it byte for byte;
+  the empty and action-only cases while a string builder still wrote
+  those responses.
 * **The reference builder** (:func:`repro.core.xmlformat.build_envelope`)
   must reproduce every served envelope from its parsed content, its
   userActions must decode to the member's queued actions, and a delta
@@ -26,7 +29,7 @@ from collections import namedtuple
 
 from repro.browser import Browser
 from repro.core import FormFillAction, MouseMoveAction, RCBAgent
-from repro.core.security import HMAC_PARAM
+from repro.core.security import HMAC_PARAM, sign_request_target
 from repro.core.serveplan import BroadcastPlan, PlanFallback
 from repro.core.xmlformat import (
     EMPTY_ACTIONS_WIRE,
@@ -37,7 +40,7 @@ from repro.core.xmlformat import (
     wire_delta_template,
 )
 from repro.html import Text
-from repro.http import Headers, HttpClient, HttpResponse, WirePlan
+from repro.http import Headers, HttpClient, HttpRequest, HttpResponse, WirePlan
 from repro.net import LAN_PROFILE, Host, Network
 from repro.obs import DELTA_FALLBACK, EventBus
 from repro.sim import Simulator
@@ -134,6 +137,34 @@ class Playback:
         is_delta = parse_envelope(body.decode("ascii")).is_delta
         full_body = self._full_body(member) if is_delta else None
         self.served.append(Served(label, is_delta, body, body, [], full_body))
+
+    def start_poll(self, member, their_time, transport="poll"):
+        """Send one poll to the agent's poll endpoint, signed when the
+        session has a secret; returns the sim process answering it."""
+        body = poll_payload(member, their_time, transport)
+        target = "/poll"
+        if self.agent.secret is not None:
+            target = sign_request_target(self.agent.secret, "POST", target, body)
+        request = HttpRequest("POST", target, None, body)
+        return self.sim.process(self.agent._poll_response(request, member))
+
+    def log_poll(self, label, process, actions=()):
+        """Run a poll process to its end and log the whole HTTP response,
+        which must carry exactly ``actions``.  Every poll response, empty
+        ones included, must leave as a wire plan."""
+        response = self.sim.run_until_complete(process)
+        assert response.status == 200
+        assert response.wire_plan is not None, "%s: not a wire plan" % label
+        body = response.body
+        is_delta = bool(body) and parse_envelope(body.decode("ascii")).is_delta
+        self.served.append(
+            Served(label, is_delta, response.to_bytes(), body, list(actions), None)
+        )
+        return response
+
+    def poll(self, member, their_time, label, actions=(), transport="poll"):
+        """Answer one poll through the poll endpoint and log it."""
+        return self.log_poll(label, self.start_poll(member, their_time, transport), actions)
 
     def _full_body(self, member):
         """The member's full envelope at the current document state."""
@@ -320,6 +351,45 @@ def released_hold():
     return play
 
 
+def broadcast_then_polls(pointer, **agent_kwargs):
+    """A host broadcast with no document change: the next poll carries
+    only the actions, the one after it nothing."""
+    play = Playback(transport="poll", **agent_kwargs)
+    play.poll("alice", 0, "alice joins")
+    base = play.agent.doc_time
+    play.agent.broadcast_action(pointer)
+    play.poll("alice", base, "alice action-only", [pointer])
+    play.poll("alice", base, "alice empty")
+    return play
+
+
+@golden
+def action_only_then_empty():
+    return broadcast_then_polls(MouseMoveAction(5, 9))
+
+
+@golden
+def hmac_action_only_then_empty():
+    return broadcast_then_polls(MouseMoveAction(8, 1), secret="golden-secret")
+
+
+@golden
+def hold_released_by_broadcast():
+    """A long poll parked at the current state and released by a host
+    broadcast with no document change: an action-only response."""
+    play = Playback(transport="longpoll")
+    play.poll("m0", 0, "m0 joins", transport="longpoll")
+    base = play.agent.doc_time
+    held = play.start_poll("m0", base, "longpoll")
+    play.sim.run(until=play.sim.now + 0.5)
+    assert not held.triggered, "nothing to send: the poll must be parked"
+    pointer = MouseMoveAction(2, 4)
+    play.agent.broadcast_action(pointer)
+    play.log_poll("m0 released by broadcast", held, [pointer])
+    assert play.agent.doc_time == base
+    return play
+
+
 def play_golden(name):
     """Play one fixed case; assert it matches its golden record and that
     every served envelope passes the reference-builder oracle."""
@@ -333,6 +403,11 @@ def play_golden(name):
     assert actual["stats"] == expected["stats"]
     assert actual["fallbacks"] == expected["fallbacks"]
     for served in play.served:
+        if not served.body:
+            # An empty poll: nothing was due, and the golden wire above
+            # pins its headers.
+            assert not served.actions
+            continue
         assert_reference_envelope(served.body, served.actions, served.full_body)
     return play
 
@@ -547,6 +622,29 @@ class TestBatchedByteIdentity:
         assert stats["serve_batched_polls"] >= 2
         assert stats["wire_bytes_zero_copy"] > 0
         assert stats["serve_amortization"] > 1.0
+
+
+class TestEmptyAndActionOnlyResponses:
+    """Empty and action-only polls leave through the same wire plans as
+    content envelopes, with the golden bytes of the string builder that
+    used to write them."""
+
+    def test_action_only_then_empty(self):
+        play = play_golden("action_only_then_empty")
+        _join, actions_only, empty = play.served
+        content = parse_envelope(actions_only.body.decode("ascii"))
+        assert not content.head_children and not content.top_elements
+        assert content.doc_time == play.agent.doc_time
+        assert empty.body == b""
+
+    def test_hmac_action_only_then_empty(self):
+        play = play_golden("hmac_action_only_then_empty")
+        assert [bool(served.body) for served in play.served] == [True, True, False]
+
+    def test_hold_released_by_broadcast(self):
+        play = play_golden("hold_released_by_broadcast")
+        released = play.served[-1]
+        assert not parse_envelope(released.body.decode("ascii")).top_elements
 
 
 class TestPlanFallbackMemo:
