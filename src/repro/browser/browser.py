@@ -186,17 +186,17 @@ class Browser:
         started = self.sim.now
         try:
             response = yield from self.client.request(method, url, headers=headers, body=body)
+            # Follow up to five redirects (the shop's login flow uses one).
+            redirects = 0
+            while response.status in (301, 302) and redirects < 5:
+                location = response.headers.get("Location")
+                if location is None:
+                    break
+                url = resolve_url(url, parse_url(location))
+                response = yield from self.client.request("GET", url)
+                redirects += 1
         except RequestFailed as exc:
             raise NavigationError("cannot load %s: %s" % (url, exc))
-        # Follow one level of redirect, as the shop's login flow uses.
-        redirects = 0
-        while response.status in (301, 302) and redirects < 5:
-            location = response.headers.get("Location")
-            if location is None:
-                break
-            url = resolve_url(url, parse_url(location))
-            response = yield from self.client.request("GET", url)
-            redirects += 1
         if response.status != 200:
             raise NavigationError(
                 "server returned %d for %s" % (response.status, url)

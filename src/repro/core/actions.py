@@ -257,7 +257,7 @@ def resolve_reference(document, ref: str):
     if ":" not in ref:
         raise ActionError("bad element reference %r" % (ref,))
     tag, _sep, index_text = ref.partition(":")
-    if not index_text.isdigit():
+    if not (index_text.isascii() and index_text.isdigit()):
         raise ActionError("bad element reference %r" % (ref,))
     wanted = int(index_text)
     index = 0

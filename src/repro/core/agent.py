@@ -25,11 +25,13 @@ import json
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..browser.browser import Browser, BrowserExtension
+from ..browser.browser import Browser, BrowserExtension, NavigationError
 from ..browser.observer import TOPIC_DOCUMENT_CHANGED, TOPIC_DOCUMENT_LOADED
+from ..html.serializer import SegmentCache
 from ..http import Headers, HttpRequest, HttpResponse, WirePlan, html_response
 from ..http.server import serve_connection
 from ..net.socket import ListenSocket
+from ..net.url import UrlError
 from ..obs import (
     DELTA_FALLBACK,
     HMAC_REJECT,
@@ -94,6 +96,11 @@ _SNIPPET_SCRIPT_ID = "ajax-snippet"
 
 #: Pre-normalized header pair for poll responses (hot serve path).
 _XML_CONTENT_TYPE = ("Content-Type", "application/xml; charset=utf-8")
+
+#: What applying one participant action may raise for a bad remote
+#: input: a reference that resolves to nothing, or a link or form
+#: target that fails to load.  Each is counted on ``action_errors``.
+_ACTION_FAILURES = (ActionError, NavigationError, UrlError)
 
 
 def _well_formed_poll(payload) -> bool:
@@ -239,6 +246,10 @@ class RCBAgent(BrowserExtension):
         #: tree (repro.core.delta), for the last ``delta_history``
         #: generated document states.
         self._snapshots: "OrderedDict[int, Dict[str, object]]" = OrderedDict()
+        #: Serialized snapshot subtrees, the diff's comparison keys: ring
+        #: snapshots share unchanged nodes, so one serialization of each
+        #: node serves every diff that meets it while it stays cached.
+        self._snapshot_keys = SegmentCache()
         #: Memoized ops JSON per (base_time, mode_key) for the *current*
         #: document state: participants at the same base share one diff.
         self._delta_memo: Dict = {}
@@ -1091,7 +1102,13 @@ class RCBAgent(BrowserExtension):
         new_tree = self._snapshot_tree(self._doc_time, mode_key)
         if old_tree is None or new_tree is None:
             return None
-        ops = diff_trees(old_tree, new_tree, metrics=self.metrics, node=self._node_name())
+        ops = diff_trees(
+            old_tree,
+            new_tree,
+            metrics=self.metrics,
+            node=self._node_name(),
+            cache=self._snapshot_keys,
+        )
         ops_json = json.dumps(ops, separators=(",", ":"))
         self._delta_memo[(their_time, mode_key)] = ops_json
         if self.tracer is not None:
@@ -1302,10 +1319,11 @@ class RCBAgent(BrowserExtension):
         if decision == ModerationPolicy.APPLY:
             try:
                 yield from self._apply_action(participant_id, action)
-            except ActionError:
+            except _ACTION_FAILURES:
                 # A stale or hostile reference (the document may have
-                # changed since the participant saw it) must not take
-                # down the agent; drop the action.
+                # changed since the participant saw it) or a link that
+                # fails to load must not take down the agent; drop the
+                # action (a failed navigation leaves the host's page).
                 self.stats.inc("action_errors")
                 return
             self.stats.inc("actions_applied")
@@ -1325,7 +1343,7 @@ class RCBAgent(BrowserExtension):
         for pending in held:
             try:
                 yield from self._apply_action(pending.participant_id, pending.action)
-            except ActionError:
+            except _ACTION_FAILURES:
                 self.stats.inc("action_errors")
                 continue
             self.stats.inc("actions_applied")

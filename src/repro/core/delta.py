@@ -54,6 +54,7 @@ from typing import Dict, List, Optional
 from ..html import Comment, Element, Text
 from ..html.dom import Node, _ParentNode
 from ..html.parser import parse_fragment
+from ..html.serializer import SegmentCache, serialize_node_cached
 from .xmlformat import NewContent
 
 __all__ = [
@@ -112,6 +113,7 @@ def diff_trees(
     metrics=None,
     node: Optional[str] = None,
     stats: Optional[Dict[str, int]] = None,
+    cache: Optional[SegmentCache] = None,
 ) -> List[Dict]:
     """Operations turning ``old_root`` into ``new_root`` (canonical trees).
 
@@ -122,6 +124,13 @@ def diff_trees(
     subtree" certificate.  Serialized comparison keys are computed
     lazily and only for children that survive those short-circuits,
     making the diff O(changed region), not O(page).
+
+    Comparison keys come from ``cache``, a
+    :class:`~repro.html.serializer.SegmentCache` the caller keeps across
+    diffs of the same snapshots (the agent keeps one beside its snapshot
+    ring), so a snapshot node is serialized once while it stays cached,
+    and a parent's key joins its children's cached strings.  Without
+    one, the call uses a fresh cache of its own.
 
     With ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`),
     diff wall-time and op counts are published as ``delta_diff_seconds``
@@ -134,7 +143,7 @@ def diff_trees(
     if stats is not None:
         for key in ("visited", "skipped", "serialized"):
             stats.setdefault(key, 0)
-    ctx = _DiffContext(stats)
+    ctx = _DiffContext(stats, cache if cache is not None else SegmentCache())
     ops: List[Dict] = []
 
     old_head = _section(old_root, "head") or Element("head")
@@ -179,24 +188,34 @@ def _shallow_match(a: Node, b: Node) -> bool:
 
 
 class _DiffContext:
-    """Per-diff scratch: lazy serialization keys + skip accounting."""
+    """Per-diff scratch: cached serialization keys + skip accounting."""
 
-    __slots__ = ("_keys", "counts")
+    __slots__ = ("_keys", "cache", "counts")
 
-    def __init__(self, counts: Optional[Dict[str, int]] = None):
+    def __init__(self, counts: Optional[Dict[str, int]], cache: SegmentCache):
         self._keys: Dict[int, str] = {}
+        self.cache = cache
         self.counts = counts
 
     def key(self, node: Node) -> str:
-        """``node.to_html()``, computed at most once per node."""
+        """``node.to_html()`` through the snapshot-key cache, looked up
+        at most once per node and diff."""
         node_id = id(node)
         text = self._keys.get(node_id)
         if text is None:
-            text = node.to_html()
+            text = serialize_node_cached(node, self.cache)
             self._keys[node_id] = text
             if self.counts is not None:
                 self.counts["serialized"] += 1
         return text
+
+    def signature(self, node: Node) -> tuple:
+        """A value equal for two nodes exactly when :meth:`same_subtree`
+        holds: equal version stamps certify equal serializations, so
+        comparing the type, the tag and the markup decides it alone."""
+        if isinstance(node, Element):
+            return (Element, node.tag, self.key(node))
+        return (type(node), node.data)
 
     def same_subtree(self, a: Node, b: Node) -> bool:
         """Deep equality, cheap-first: object identity, then version
@@ -219,13 +238,13 @@ class _DiffContext:
         return a.data == b.data
 
 
-def _node_payload(node: Node) -> Dict:
+def _node_payload(node: Node, ctx: _DiffContext) -> Dict:
     if isinstance(node, Text):
         return {"t": "text", "data": node.data}
     if isinstance(node, Comment):
         return {"t": "comment", "data": node.data}
     if isinstance(node, Element):
-        return {"t": "element", "html": node.to_html()}
+        return {"t": "element", "html": ctx.key(node)}
     raise DeltaError("cannot encode node %r" % (node,))
 
 
@@ -258,7 +277,7 @@ def _diff_children(
         ops.append({"op": "remove", "sec": sec, "path": path + [oi]})
     for ni in (i for i in range(len(new)) if i not in matched_new):
         ops.append(
-            {"op": "insert", "sec": sec, "path": path + [ni], "node": _node_payload(new[ni])}
+            {"op": "insert", "sec": sec, "path": path + [ni], "node": _node_payload(new[ni], ctx)}
         )
     # Surviving pairs are recursed (or replaced) only after this list is
     # final, so their paths are plain new-tree coordinates.
@@ -273,7 +292,7 @@ def _diff_children(
                     "op": "replace",
                     "sec": sec,
                     "path": path + [ni],
-                    "node": _node_payload(new[ni]),
+                    "node": _node_payload(new[ni], ctx),
                 }
             )
 
@@ -326,22 +345,29 @@ def _match_children(old: List[Node], new: List[Node], ctx: _DiffContext):
 
 
 def _lcs_pairs(old: List[Node], new: List[Node], mid_old: range, mid_new: range, ctx: _DiffContext):
-    """Longest common subsequence of the middle windows, as index pairs."""
+    """Longest common subsequence of the middle windows, as index pairs.
+
+    The equality table compares signatures
+    (:meth:`_DiffContext.signature`), computed once per node, not once
+    per cell.
+    """
     rows = len(mid_old)
     cols = len(mid_new)
     if not rows or not cols:
         return []
-    equal = [
-        [ctx.same_subtree(old[mid_old[r]], new[mid_new[c]]) for c in range(cols)]
-        for r in range(rows)
-    ]
+    signature = ctx.signature
+    old_sigs = [signature(old[i]) for i in mid_old]
+    new_sigs = [signature(new[i]) for i in mid_new]
+    equal = [[a == b for b in new_sigs] for a in old_sigs]
     lengths = [[0] * (cols + 1) for _ in range(rows + 1)]
     for r in range(rows - 1, -1, -1):
+        row, below, row_equal = lengths[r], lengths[r + 1], equal[r]
         for c in range(cols - 1, -1, -1):
-            if equal[r][c]:
-                lengths[r][c] = lengths[r + 1][c + 1] + 1
+            if row_equal[c]:
+                row[c] = below[c + 1] + 1
             else:
-                lengths[r][c] = max(lengths[r + 1][c], lengths[r][c + 1])
+                down, right = below[c], row[c + 1]
+                row[c] = down if down >= right else right
     anchors = []
     r = c = 0
     while r < rows and c < cols:

@@ -360,20 +360,6 @@ class AgentPool:
         self._update_gauges()
         return relay
 
-    def remove_shard(self, shard_id: str) -> "RelayAgent":
-        """Gracefully drain one shard: its members re-place along the
-        ring (minimal movement) before the instance shuts down."""
-        relay = self.relays.get(shard_id)
-        if relay is None:
-            raise SessionError("no shard %r in this pool" % (shard_id,))
-        if len(self.relays) < 2:
-            raise SessionError("cannot remove the last shard")
-        del self.relays[shard_id]
-        migrations = self.directory.remove_instance(shard_id)
-        self._apply_migrations(migrations, reason="rebalance")
-        self._retire(relay)
-        return relay
-
     def fail_shard(self, shard_id: str) -> "RelayAgent":
         """Kill a shard host mid-run (failure injection) and promote the
         designated standby.

@@ -107,13 +107,30 @@ class _JsEscapeTable(dict):
 
 _JS_ESCAPE_TABLE = _JsEscapeTable()
 
+#: The ASCII characters escape() encodes, each with its ``%XX``, ``%``
+#: first: every later escape adds only ``%`` and hex digits, which no
+#: later pass touches.
+_JS_ASCII_ESCAPES = (("%", "%25"),) + tuple(
+    (chr(code), "%%%02X" % code)
+    for code in range(128)
+    if chr(code) not in _JS_SAFE and chr(code) != "%"
+)
+
 
 def js_escape(text: str) -> str:
     """JavaScript ``escape()``: %XX below 256, %uXXXX above.
 
     Like the real function, operates on UTF-16 code units: astral-plane
-    characters are emitted as a surrogate pair of %uXXXX escapes.
+    characters are emitted as a surrogate pair of %uXXXX escapes.  ASCII
+    input (all ``json.dumps`` output) takes one C-level ``str.replace``
+    per escaped character present instead of a per-character table
+    lookup.
     """
+    if text.isascii():
+        for char, escape in _JS_ASCII_ESCAPES:
+            if char in text:
+                text = text.replace(char, escape)
+        return text
     return text.translate(_JS_ESCAPE_TABLE)
 
 

@@ -90,16 +90,6 @@ class Node:
             node = node.parent
         return version
 
-    @property
-    def owner_document(self) -> Optional["Document"]:
-        """The Document this node ultimately hangs from, or None."""
-        node = self
-        while node is not None:
-            if isinstance(node, Document):
-                return node
-            node = node.parent if not isinstance(node, Document) else None
-        return None
-
     def detach(self) -> "Node":
         """Remove this node from its parent, if any."""
         if self.parent is not None:

@@ -61,9 +61,12 @@ class _MessageParser:
         length_text = headers.get("Content-Length")
         body_length = 0
         if length_text is not None:
-            if not length_text.strip().isdigit():
+            digits = length_text.strip()
+            # ASCII digits only: str.isdigit() also accepts '²', which
+            # int() rejects.
+            if not (digits.isascii() and digits.isdigit()):
                 raise HttpError("bad Content-Length: %r" % (length_text,))
-            body_length = int(length_text)
+            body_length = int(digits)
 
         total = header_end + 4 + body_length
         if len(self._buffer) < total:
@@ -97,7 +100,7 @@ class ResponseParser(_MessageParser):
         if len(parts) < 2 or not parts[0].startswith("HTTP/"):
             raise HttpError("bad status line: %r" % (start_line,))
         version = parts[0]
-        if not parts[1].isdigit():
+        if not (parts[1].isascii() and parts[1].isdigit()):
             raise HttpError("bad status code: %r" % (start_line,))
         status = int(parts[1])
         reason = parts[2] if len(parts) == 3 else ""

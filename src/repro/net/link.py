@@ -47,11 +47,6 @@ class DirectionalChannel:
         self.bytes_carried += nbytes
         return self._next_free - now
 
-    @property
-    def busy_until(self) -> float:
-        """Simulated time at which the channel's queue drains."""
-        return self._next_free
-
 
 class LinkProfile:
     """Immutable description of an access link's characteristics."""
@@ -100,11 +95,3 @@ class AccessLink:
     def latency_s(self) -> float:
         """One-way propagation latency of this attachment."""
         return self.profile.latency_s
-
-    def send_delay(self, nbytes: int) -> float:
-        """Delay contribution of this link when the host sends."""
-        return self.up.serialization_delay(nbytes) + self.latency_s
-
-    def receive_delay(self, nbytes: int) -> float:
-        """Delay contribution of this link when the host receives."""
-        return self.down.serialization_delay(nbytes) + self.latency_s

@@ -353,10 +353,6 @@ class Connection:
         """
         return self._inbox.get()
 
-    def try_recv(self) -> Optional[bytes]:
-        """Non-blocking receive; None when no data is buffered."""
-        return self._inbox.try_get()
-
     def close(self) -> None:
         """Close both directions (the peer sees end-of-stream after the
         propagation delay)."""

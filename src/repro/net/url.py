@@ -160,7 +160,7 @@ def parse_url(text: str) -> Url:
             raise UrlError("userinfo is not supported: %r" % (text,))
         if ":" in netloc:
             host, port_text = netloc.rsplit(":", 1)
-            if not port_text.isdigit():
+            if not (port_text.isascii() and port_text.isdigit()):
                 raise UrlError("bad port in %r" % (text,))
             port = int(port_text)
             if not 0 < port < 65536:

@@ -307,14 +307,6 @@ class Simulator:
         """Start a generator as a Process."""
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        """Condition triggered by the first of ``events``."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> Condition:
-        """Condition triggered once all ``events`` trigger."""
-        return AllOf(self, events)
-
     # -- scheduling --------------------------------------------------------
 
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:

@@ -188,11 +188,6 @@ class StudyResult:
         self.summaries = summaries
 
     @property
-    def sessions_run(self) -> int:
-        """Number of co-browsing sessions executed."""
-        return len(self.pair_results)
-
-    @property
     def tasks_attempted(self) -> int:
         """Total Table-2 tasks attempted across sessions."""
         return sum(len(session) for session in self.pair_results)
@@ -204,24 +199,6 @@ class StudyResult:
             sum(1 for task in session if task.completed) for session in self.pair_results
         )
 
-    @property
-    def success_ratio(self) -> float:
-        """Completed / attempted (the paper reports 1.0)."""
-        if not self.tasks_attempted:
-            return 0.0
-        return self.tasks_completed / self.tasks_attempted
-
-    @property
-    def mean_session_minutes(self) -> float:
-        """Mean simulated duration of a two-session pair, in minutes."""
-        if not self.pair_results:
-            return 0.0
-        per_pair: Dict[int, float] = {}
-        for index, session in enumerate(self.pair_results):
-            per_pair.setdefault(index // 2, 0.0)
-            per_pair[index // 2] += sum(task.sim_seconds for task in session)
-        values = list(per_pair.values())
-        return sum(values) / len(values) / 60.0
 
 
 def run_pair_study(pair_index: int = 0, poll_interval: float = 1.0) -> List[List[TaskResult]]:

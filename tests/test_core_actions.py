@@ -117,7 +117,7 @@ class TestElementReferences:
             resolve_reference(DOC, "form:9")
 
     def test_resolve_bad_format(self):
-        for bad in ("form", "form:x", ":0"):
+        for bad in ("form", "form:x", ":0", "a:\u00b2", "form:\u0661"):
             with pytest.raises(ActionError):
                 resolve_reference(DOC, bad)
 

@@ -18,7 +18,7 @@ from repro.core import (
     sign_request_target,
 )
 from repro.html import Text
-from repro.http import HttpClient, HttpRequest
+from repro.http import Headers, HttpClient, HttpRequest, HttpResponse
 from repro.net import LAN_PROFILE, Host, Network
 from repro.obs import FleetView, TelemetryDigest
 from repro.sim import Simulator
@@ -618,4 +618,105 @@ class TestMalformedPollBodies:
         assert session.agent.stats["bad_poll_bodies"] == 1
         assert session.agent.roster() == ["p"]
         assert guest.page.document.body.text_content == "v1!"
+        session.close()
+
+
+def hostile_session(anchor_href=None, handler=None):
+    """A LAN session on s.com with one honest member and a third host:
+    ``(sim, host, guest, intruder_host, session)``.  The page holds one
+    link to ``anchor_href`` when given; ``handler`` wraps the site's."""
+    sim = Simulator()
+    network = Network(sim)
+    site = StaticSite("s.com")
+    link = '<a href="%s">go</a>' % anchor_href if anchor_href is not None else ""
+    site.add_page(
+        "/", "<html><head><title>S</title></head><body><p>v1</p>%s</body></html>" % link
+    )
+    OriginServer(network, "s.com", handler(site.handle) if handler else site.handle)
+    host = Browser(Host(network, "h-pc", LAN_PROFILE, segment="lan"), name="h")
+    guest = Browser(Host(network, "p-pc", LAN_PROFILE, segment="lan"), name="p")
+    intruder_host = Host(network, "x-pc", LAN_PROFILE, segment="lan")
+    session = CoBrowsingSession(host, poll_interval=0.5, transport="poll")
+    return sim, host, guest, intruder_host, session
+
+
+def run_hostile(sim, host, guest, session, intrude):
+    """Sync the member, run ``intrude()`` (a generator), then edit the
+    host page and wait for the member: returns what ``intrude`` did."""
+
+    def scenario():
+        yield from session.join(guest)
+        yield from session.host_navigate("http://s.com/")
+        yield from session.wait_until_synced()
+        outcome = yield from intrude()
+        host.mutate_document(lambda doc: doc.body.child_nodes[0].append_child(Text("!")))
+        yield from session.wait_until_synced()
+        return outcome
+
+    return sim.run_until_complete(sim.process(scenario()))
+
+
+def redirect_to(location):
+    """A site handler wrapper answering ``/go`` with a 302 to ``location``."""
+
+    def wrap(handle):
+        def handler(request, client_name):
+            if request.target == "/go":
+                return HttpResponse(302, Headers([("Location", location)]), b"")
+            return handle(request, client_name)
+
+        return handler
+
+    return wrap
+
+
+class TestHostileParticipantInputs:
+    """No bad reference, dead link or hostile byte from a participant
+    ends the session: the agent rejects and counts it, the host stays
+    on its page and the honest member converges on the next edit."""
+
+    def test_non_ascii_content_length_gets_400_and_close(self):
+        sim, host, guest, intruder_host, session = hostile_session()
+
+        def intrude():
+            connection = yield intruder_host.connect("h-pc", session.agent.port)
+            yield connection.send(b"POST /poll HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n")
+            reply = yield connection.recv()
+            return reply
+
+        reply = run_hostile(sim, host, guest, session, intrude)
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in reply
+        assert guest.page.document.body.child_nodes[0].text_content == "v1!"
+        session.close()
+
+    @pytest.mark.parametrize(
+        "anchor_href, ref, handler",
+        [
+            ("/", "a:\u00b2", None),
+            ("http://nohost.example/", "a:0", None),
+            ("http://s.com:abc/", "a:0", None),
+            ("http://s.com:99999/", "a:0", None),
+            ("/go", "a:0", redirect_to("http://nohost.example/")),
+        ],
+        ids=["superscript-ref", "dead-host", "bad-port", "port-range", "redirect-dead-host"],
+    )
+    def test_failed_click_is_a_counted_action_error(self, anchor_href, ref, handler):
+        sim, host, guest, intruder_host, session = hostile_session(anchor_href, handler)
+        intruder = HttpClient(intruder_host)
+
+        def intrude():
+            response = yield from intruder.post(
+                session.agent.url + "poll",
+                poll_body("mallory", actions=[ClickAction(ref)]),
+                content_type="application/json",
+            )
+            return response
+
+        response = run_hostile(sim, host, guest, session, intrude)
+        assert response.status == 200
+        assert session.agent.stats["action_errors"] == 1
+        assert session.agent.stats["actions_applied"] == 0
+        assert str(host.page.url) == "http://s.com/"
+        assert guest.page.document.body.child_nodes[0].text_content == "v1!"
         session.close()

@@ -53,6 +53,30 @@ class TestJsEscape:
         assert js_unescape(js_escape(text)) == text
 
 
+#: Every ASCII code point plus non-ASCII text: a superscript digit, two
+#: letters whose case mappings change length, and an astral character.
+ESCAPE_ALPHABET = [chr(code) for code in range(128)] + ["²", "İ", "ſ", "\U0001F600"]
+
+
+class TestJsEscapeFastPath:
+    """The ASCII ``str.replace`` path against the per-character table."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["%", "%25", "%%41", "~", "\x00", "\x7f", "a%b c", "%\x00~\x7f", "", "safe-only_1.2"],
+    )
+    def test_edge_case_matches_table(self, text):
+        assert js_escape(text) == text.translate(xmlformat._JS_ESCAPE_TABLE)
+
+    def test_percent_is_escaped_once(self):
+        assert js_escape("%20 %") == "%2520%20%25"
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet=ESCAPE_ALPHABET, max_size=80))
+    def test_matches_table(self, text):
+        assert js_escape(text) == text.translate(xmlformat._JS_ESCAPE_TABLE)
+
+
 #: Escape-heavy pieces: every character an escape is made of, surrogate
 #: halves (as hex, as whole escapes and as raw characters), non-ASCII
 #: text, and the partial escapes the decoder must leave literal.

@@ -68,6 +68,11 @@ class TestRequestParser:
         with pytest.raises(HttpError):
             parse_request_bytes(b"GET / HTTP/1.1\r\nContent-Length: ten\r\n\r\n")
 
+    def test_non_ascii_digit_content_length_is_an_http_error(self):
+        # '\xb2' decodes to '²': str.isdigit() accepts it, int() does not.
+        with pytest.raises(HttpError):
+            parse_request_bytes(b"GET / HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n")
+
     def test_chunked_rejected(self):
         with pytest.raises(HttpError, match="chunked"):
             parse_request_bytes(
@@ -114,6 +119,10 @@ class TestResponseParser:
             parse_response_bytes(b"NOTHTTP 200 OK\r\n\r\n")
         with pytest.raises(HttpError):
             parse_response_bytes(b"HTTP/1.1 abc OK\r\n\r\n")
+
+    def test_non_ascii_digit_status_is_an_http_error(self):
+        with pytest.raises(HttpError):
+            parse_response_bytes(b"HTTP/1.1 \xb2\xb2\xb2 OK\r\n\r\n")
 
     def test_round_trip(self):
         from repro.http import Headers, HttpResponse

@@ -69,6 +69,11 @@ class TestParsing:
         with pytest.raises(UrlError):
             parse_url("http://a.com:99999/")
 
+    def test_non_ascii_digit_port_is_a_url_error(self):
+        for port in ("\u00b2", "\u0661", "8\u00b9"):
+            with pytest.raises(UrlError):
+                parse_url("http://a.com:%s/" % port)
+
     def test_empty_host_rejected(self):
         with pytest.raises(UrlError):
             parse_url("http:///path")
