@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Union
 from ..html import Document, Element, parse_document
 from ..http import CookieJar, Headers, HttpClient, RequestFailed, encode_form
 from ..net.socket import Host
-from ..net.url import Url, parse_url, resolve_url
+from ..net.url import Url, UrlError, parse_url, resolve_url
 from ..sim import AllOf, Simulator
 from .cache import BrowserCache
 from .observer import (
@@ -84,7 +84,7 @@ def _object_url(base_text: str, raw: str) -> Optional[str]:
     page resolves each reference once."""
     try:
         absolute = resolve_url(parse_url(base_text), parse_url(raw))
-    except ValueError:  # UrlError, or a port int() rejects
+    except UrlError:
         return None
     return str(absolute.replace(fragment=None))
 

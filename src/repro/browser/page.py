@@ -72,10 +72,5 @@ class Page:
 
         return len(serialize_document(self.document).encode("utf-8"))
 
-    @property
-    def total_object_bytes(self) -> int:
-        """Sum of all supplementary-object payload sizes."""
-        return sum(obj.size for obj in self.objects)
-
     def __repr__(self) -> str:
         return "Page(%r, %d objects, v%d)" % (str(self.url), len(self.objects), self.version)

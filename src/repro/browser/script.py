@@ -50,14 +50,6 @@ class ScriptEngine:
             raise TypeError("handler must be callable")
         self._functions[name] = function
 
-    def unregister(self, name: str) -> None:
-        """Remove a handler binding, if present."""
-        self._functions.pop(name, None)
-
-    def is_registered(self, name: str) -> bool:
-        """Whether ``name`` has a bound handler."""
-        return name in self._functions
-
     def invoke_attribute(self, expression: str, element, event: Optional[Any] = None):
         """Run the handler named in an event-attribute expression.
 

@@ -259,6 +259,11 @@ def resolve_reference(document, ref: str):
     tag, _sep, index_text = ref.partition(":")
     if not (index_text.isascii() and index_text.isdigit()):
         raise ActionError("bad element reference %r" % (ref,))
+    # An index wider than a 64-bit count names no element; checking the
+    # width first also spares int() its ValueError past 4300 digits.
+    index_text = index_text.lstrip("0") or "0"
+    if len(index_text) > 18:
+        raise ActionError("no element for reference %r" % (ref,))
     wanted = int(index_text)
     index = 0
     for candidate in document.descendant_elements():

@@ -465,10 +465,6 @@ class RCBAgent(BrowserExtension):
                 self._wake_member(state)
         return transport
 
-    def clear_member_transport(self, participant_id: str) -> None:
-        """Drop a member's override; negotiation rules apply again."""
-        self._member_transports.pop(participant_id, None)
-
     def _granted_transport(self, participant_id: str, requested) -> Transport:
         """Negotiate one poll's transport: a member override outranks
         the client's requested mode, which outranks the agent default.

@@ -105,10 +105,6 @@ class AllowListPolicy(ModerationPolicy):
         """Grant a participant interaction rights."""
         self.allowed_participants.add(participant_id)
 
-    def revoke(self, participant_id: str) -> None:
-        """Withdraw a participant's interaction rights."""
-        self.allowed_participants.discard(participant_id)
-
     def decide(self, participant_id: str, action: UserAction) -> str:
         """Return APPLY, HOLD, or DROP for this action."""
         if participant_id not in self.allowed_participants:

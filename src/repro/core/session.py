@@ -514,10 +514,6 @@ class CoBrowsingSession:
             yield self.sim.timeout(0.05)
         return self.sim.now - started
 
-    def run_for(self, seconds: float) -> None:
-        """Advance the simulation clock (convenience for scripts)."""
-        self.sim.run(until=self.sim.now + seconds)
-
     # -- fan-out accounting ------------------------------------------------------------
 
     def tree_depth(self) -> int:

@@ -609,11 +609,12 @@ class AjaxSnippet:
         sync_seconds = self._sync_seconds(poll_started, content)
         span = self._start_apply_span(trace_header, "delta", content, sync_seconds)
         ok = False
+        scan_carried = False
         reason = "base-mismatch"
         if content.base_time == self.last_doc_time:
             wall_started = time.perf_counter()
             try:
-                self._apply_delta_ops(content)
+                scan_carried = self._apply_delta_ops(content)
                 ok = True
             except (DeltaError, ValueError, RecursionError):  # JSON nested too deep
                 ok = False
@@ -642,8 +643,13 @@ class AjaxSnippet:
         self._apply_replicated_cookies(content)
         self.stats.last_sync_seconds = sync_seconds
         if self.fetch_objects:
-            elapsed = yield from self.browser.fetch_current_objects()
-            self.stats.last_objects_seconds = elapsed
+            if scan_carried:
+                # The delta put no element in: the page already holds
+                # every object its document references (paper §4.2).
+                self.stats.last_objects_seconds = 0.0
+            else:
+                elapsed = yield from self.browser.fetch_current_objects()
+                self.stats.last_objects_seconds = elapsed
         self.last_doc_time = content.doc_time
         self.stats.content_updates += 1
         self.stats.delta_updates += 1
@@ -658,14 +664,15 @@ class AjaxSnippet:
             self.on_content(content)
         return True
 
-    def _apply_delta_ops(self, content: NewContent) -> None:
+    def _apply_delta_ops(self, content: NewContent) -> bool:
         """Apply the ops with Ajax-Snippet's own <script> lifted out, so
         the document matches the agent's canonical snapshot exactly.
 
         Text and comment ops change only character data, which object
-        discovery never reads: after a delta of those alone the page's
-        object scan is carried over, and the object fetch that follows
-        skips the discovery walk."""
+        discovery never reads: after a delta of those alone, applied to
+        a page whose objects match its document, the page's object scan
+        is carried over.  Returns whether it was, i.e. whether the page
+        still holds every object its document references."""
         page = self.browser.page
         document = page.document
         html = document.document_element
@@ -686,9 +693,11 @@ class AjaxSnippet:
             )
         finally:
             _restore_snippet_script(document, snippet_script)
-        if scan_current and all(op["op"] in _DATA_ONLY_OPS for op in ops):
+        carried = scan_current and all(op["op"] in _DATA_ONLY_OPS for op in ops)
+        if carried:
             page.carry_object_scan()
         page.version += 1
+        return carried
 
     def _apply_update(self, content: NewContent) -> None:
         """The four-step in-place update of the current document."""

@@ -435,10 +435,6 @@ class Document(_ParentNode):
         """Element factory; trailing underscores in kwargs are stripped (``for_``)."""
         return Element(tag, {k.rstrip("_"): v for k, v in attributes.items()})
 
-    def create_text_node(self, data: str) -> Text:
-        """Text node factory."""
-        return Text(data)
-
     def clone(self, deep: bool = True) -> "Document":
         """Return a copy of this node (deep copies children too)."""
         copy = Document()

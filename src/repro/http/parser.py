@@ -20,6 +20,9 @@ from .message import CRLF, Headers, HttpError, HttpRequest, HttpResponse
 __all__ = ["RequestParser", "ResponseParser", "parse_request_bytes", "parse_response_bytes"]
 
 _MAX_HEADER_BYTES = 64 * 1024
+#: The largest body either end buffers.  The biggest legitimate one, an
+#: envelope carrying the largest escaped Table-1 page, is about 284 KB.
+_MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class _MessageParser:
@@ -47,9 +50,11 @@ class _MessageParser:
 
     def _try_parse_one(self):
         header_end = self._buffer.find(CRLF + CRLF)
+        head_bytes = len(self._buffer) if header_end == -1 else header_end
+        # The cap holds whether or not the terminator came in this chunk.
+        if head_bytes > _MAX_HEADER_BYTES:
+            raise HttpError("header section exceeds %d bytes" % _MAX_HEADER_BYTES)
         if header_end == -1:
-            if len(self._buffer) > _MAX_HEADER_BYTES:
-                raise HttpError("header section exceeds %d bytes" % _MAX_HEADER_BYTES)
             return None
         head = bytes(self._buffer[:header_end])
         lines = head.split(CRLF)
@@ -66,6 +71,11 @@ class _MessageParser:
             # int() rejects.
             if not (digits.isascii() and digits.isdigit()):
                 raise HttpError("bad Content-Length: %r" % (length_text,))
+            # Count the digits before int() sees them: it raises
+            # ValueError on a string of more than 4300.
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(_MAX_BODY_BYTES)) or int(digits) > _MAX_BODY_BYTES:
+                raise HttpError("declared body exceeds %d bytes" % _MAX_BODY_BYTES)
             body_length = int(digits)
 
         total = header_end + 4 + body_length
@@ -100,7 +110,7 @@ class ResponseParser(_MessageParser):
         if len(parts) < 2 or not parts[0].startswith("HTTP/"):
             raise HttpError("bad status line: %r" % (start_line,))
         version = parts[0]
-        if not (parts[1].isascii() and parts[1].isdigit()):
+        if not (len(parts[1]) == 3 and parts[1].isascii() and parts[1].isdigit()):
             raise HttpError("bad status code: %r" % (start_line,))
         status = int(parts[1])
         reason = parts[2] if len(parts) == 3 else ""

@@ -162,9 +162,12 @@ def parse_url(text: str) -> Url:
             host, port_text = netloc.rsplit(":", 1)
             if not (port_text.isascii() and port_text.isdigit()):
                 raise UrlError("bad port in %r" % (text,))
-            port = int(port_text)
-            if not 0 < port < 65536:
+            # Count the digits before int() sees them: it raises
+            # ValueError on a string of more than 4300.
+            port_text = port_text.lstrip("0") or "0"
+            if len(port_text) > 5 or not 0 < int(port_text) < 65536:
                 raise UrlError("port out of range in %r" % (text,))
+            port = int(port_text)
         else:
             host = netloc
         if not host:

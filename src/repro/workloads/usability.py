@@ -187,19 +187,6 @@ class StudyResult:
         self.pair_results = pair_results
         self.summaries = summaries
 
-    @property
-    def tasks_attempted(self) -> int:
-        """Total Table-2 tasks attempted across sessions."""
-        return sum(len(session) for session in self.pair_results)
-
-    @property
-    def tasks_completed(self) -> int:
-        """Tasks whose verified effect held."""
-        return sum(
-            sum(1 for task in session if task.completed) for session in self.pair_results
-        )
-
-
 
 def run_pair_study(pair_index: int = 0, poll_interval: float = 1.0) -> List[List[TaskResult]]:
     """One pair of subjects: two sessions with roles switched."""

@@ -13,6 +13,7 @@ from repro.core import (
     MouseMoveAction,
     ObserveOnlyPolicy,
     RCBAgent,
+    SubmitAction,
     TOPIC_ROSTER_CHANGED,
     parse_envelope,
     sign_request_target,
@@ -21,7 +22,7 @@ from repro.html import Text
 from repro.http import Headers, HttpClient, HttpRequest, HttpResponse
 from repro.net import LAN_PROFILE, Host, Network
 from repro.obs import FleetView, TelemetryDigest
-from repro.sim import Simulator
+from repro.sim import AnyOf, Simulator
 from repro.webserver import OriginServer, StaticSite
 
 
@@ -621,16 +622,15 @@ class TestMalformedPollBodies:
         session.close()
 
 
-def hostile_session(anchor_href=None, handler=None):
+def hostile_session(markup="", handler=None):
     """A LAN session on s.com with one honest member and a third host:
-    ``(sim, host, guest, intruder_host, session)``.  The page holds one
-    link to ``anchor_href`` when given; ``handler`` wraps the site's."""
+    ``(sim, host, guest, intruder_host, session)``.  The page's body
+    holds ``<p>v1</p>`` then ``markup``; ``handler`` wraps the site's."""
     sim = Simulator()
     network = Network(sim)
     site = StaticSite("s.com")
-    link = '<a href="%s">go</a>' % anchor_href if anchor_href is not None else ""
     site.add_page(
-        "/", "<html><head><title>S</title></head><body><p>v1</p>%s</body></html>" % link
+        "/", "<html><head><title>S</title></head><body><p>v1</p>%s</body></html>" % markup
     )
     OriginServer(network, "s.com", handler(site.handle) if handler else site.handle)
     host = Browser(Host(network, "h-pc", LAN_PROFILE, segment="lan"), name="h")
@@ -656,6 +656,37 @@ def run_hostile(sim, host, guest, session, intrude):
     return sim.run_until_complete(sim.process(scenario()))
 
 
+def send_raw(sim, intruder_host, session, wire, wait=5.0):
+    """An ``intrude`` generator for :func:`run_hostile`: send ``wire``
+    to the agent's port and return the reply, or ``b""`` when none came
+    within ``wait`` simulated seconds."""
+
+    def intrude():
+        connection = yield intruder_host.connect("h-pc", session.agent.port)
+        yield connection.send(wire)
+        reply = connection.recv()
+        yield AnyOf(sim, [reply, sim.timeout(wait)])
+        return reply.value if reply.triggered else b""
+
+    return intrude
+
+
+def post_action(intruder_host, session, action):
+    """An ``intrude`` generator for :func:`run_hostile`: one poll from a
+    third party carrying ``action``; returns the agent's response."""
+
+    def intrude():
+        return (
+            yield from HttpClient(intruder_host).post(
+                session.agent.url + "poll",
+                poll_body("mallory", actions=[action]),
+                content_type="application/json",
+            )
+        )
+
+    return intrude
+
+
 def redirect_to(location):
     """A site handler wrapper answering ``/go`` with a 302 to ``location``."""
 
@@ -677,14 +708,18 @@ class TestHostileParticipantInputs:
 
     def test_non_ascii_content_length_gets_400_and_close(self):
         sim, host, guest, intruder_host, session = hostile_session()
+        wire = b"POST /poll HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n"
+        reply = run_hostile(sim, host, guest, session, send_raw(sim, intruder_host, session, wire))
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in reply
+        assert guest.page.document.body.child_nodes[0].text_content == "v1!"
+        session.close()
 
-        def intrude():
-            connection = yield intruder_host.connect("h-pc", session.agent.port)
-            yield connection.send(b"POST /poll HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n")
-            reply = yield connection.recv()
-            return reply
-
-        reply = run_hostile(sim, host, guest, session, intrude)
+    def test_declared_body_over_the_cap_gets_400_and_close(self):
+        # A tebibyte: without a cap the agent would buffer toward it.
+        sim, host, guest, intruder_host, session = hostile_session()
+        wire = b"POST /poll HTTP/1.1\r\nContent-Length: 1099511627776\r\n\r\n"
+        reply = run_hostile(sim, host, guest, session, send_raw(sim, intruder_host, session, wire))
         assert reply.startswith(b"HTTP/1.1 400")
         assert b"Connection: close" in reply
         assert guest.page.document.body.child_nodes[0].text_content == "v1!"
@@ -694,25 +729,45 @@ class TestHostileParticipantInputs:
         "anchor_href, ref, handler",
         [
             ("/", "a:\u00b2", None),
+            # int() raises ValueError on more than 4300 digits.
+            ("/", "a:" + "9" * 4301, None),
             ("http://nohost.example/", "a:0", None),
             ("http://s.com:abc/", "a:0", None),
             ("http://s.com:99999/", "a:0", None),
             ("/go", "a:0", redirect_to("http://nohost.example/")),
         ],
-        ids=["superscript-ref", "dead-host", "bad-port", "port-range", "redirect-dead-host"],
+        ids=[
+            "superscript-ref",
+            "past-int-digits-ref",
+            "dead-host",
+            "bad-port",
+            "port-range",
+            "redirect-dead-host",
+        ],
     )
     def test_failed_click_is_a_counted_action_error(self, anchor_href, ref, handler):
-        sim, host, guest, intruder_host, session = hostile_session(anchor_href, handler)
-        intruder = HttpClient(intruder_host)
+        sim, host, guest, intruder_host, session = hostile_session(
+            '<a href="%s">go</a>' % anchor_href, handler
+        )
+        intrude = post_action(intruder_host, session, ClickAction(ref))
+        response = run_hostile(sim, host, guest, session, intrude)
+        assert response.status == 200
+        assert session.agent.stats["action_errors"] == 1
+        assert session.agent.stats["actions_applied"] == 0
+        assert str(host.page.url) == "http://s.com/"
+        assert guest.page.document.body.child_nodes[0].text_content == "v1!"
+        session.close()
 
-        def intrude():
-            response = yield from intruder.post(
-                session.agent.url + "poll",
-                poll_body("mallory", actions=[ClickAction(ref)]),
-                content_type="application/json",
-            )
-            return response
-
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    @pytest.mark.parametrize(
+        "form_action",
+        ["http://nohost.example/", "http://s.com:abc/", "http://s.com:99999/"],
+        ids=["dead-host", "bad-port", "port-range"],
+    )
+    def test_failed_submit_is_a_counted_action_error(self, form_action, method):
+        form = '<form action="%s" method="%s"><input name="q" value=""></form>'
+        sim, host, guest, intruder_host, session = hostile_session(form % (form_action, method))
+        intrude = post_action(intruder_host, session, SubmitAction("form:0", {"q": "x"}))
         response = run_hostile(sim, host, guest, session, intrude)
         assert response.status == 200
         assert session.agent.stats["action_errors"] == 1

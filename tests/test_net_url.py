@@ -1,8 +1,9 @@
 """Unit tests for URL parsing and relative resolution."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.net import UrlError, parse_url, resolve_url
+from repro.net import Url, UrlError, parse_url, resolve_url
 
 
 class TestParsing:
@@ -73,6 +74,15 @@ class TestParsing:
         for port in ("\u00b2", "\u0661", "8\u00b9"):
             with pytest.raises(UrlError):
                 parse_url("http://a.com:%s/" % port)
+
+    def test_port_past_int_digits_is_a_url_error(self):
+        # int() raises ValueError on more than 4300 digits; the fuzzer
+        # below draws such ports too.
+        with pytest.raises(UrlError, match="out of range"):
+            parse_url("http://a.com:%s/" % ("9" * 4301))
+
+    def test_zero_padded_port_is_read(self):
+        assert parse_url("http://a.com:%s80/" % ("0" * 4301)).port == 80
 
     def test_empty_host_rejected(self):
         with pytest.raises(UrlError):
@@ -178,3 +188,45 @@ class TestResolution:
         resolved = resolve_url(self.BASE, parse_url("../img/logo.png"))
         assert resolved.is_absolute
         assert resolved.origin == "http://a.com"
+
+
+# -- fuzzing ----------------------------------------------------------------------------
+
+#: Characters whose digit, case or length behaviour differs from ASCII:
+#: '²' passes str.isdigit(), '١' is a digit int() reads, 'İ' lowercases
+#: to two characters and 'ſ' uppercases to 'S'.
+UNUSUAL = "\u00b2\u0661\u0130\u017f"
+URL_ALPHABET = "aAzZ09:/?#@.-+%_ \t\x00" + UNUSUAL
+PORTS = ["80", "0", "0080", "65535", "65536", "-1", "+8", "8_0", "", "9" * 4301] + list(UNUSUAL)
+
+
+def structured_urls():
+    """scheme, separator, host, port and a tail, each drawn from tokens."""
+    return st.tuples(
+        st.sampled_from(["http", "HTTP", "https", "ftp", "x+y-z", "", "\u0130"]),
+        st.sampled_from(["://", ":", "//", ""]),
+        st.sampled_from(["a.com", "S.COM", "", "\u0130.com", "\u017f", "u@a.com"]),
+        st.sampled_from([":", "::", ""]),
+        st.sampled_from(PORTS),
+        st.text(alphabet=URL_ALPHABET, max_size=12),
+    ).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet=URL_ALPHABET, max_size=40), structured_urls()))
+def test_fuzzed_urls_parse_or_raise_url_error(text):
+    """parse_url returns a Url or raises UrlError; a parsed reference
+    also resolves against a page URL, and prints, without any other
+    exception."""
+    try:
+        url = parse_url(text)
+    except UrlError:
+        return
+    assert isinstance(url, Url)
+    str(url)
+    try:
+        resolved = resolve_url(parse_url("http://s.com/dir/page.html"), url)
+    except UrlError:
+        return
+    assert resolved.is_absolute
+    str(resolved)

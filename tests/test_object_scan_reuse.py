@@ -1,12 +1,14 @@
-"""The participant's object fetch list, carried across text-only deltas.
+"""The participant's objects, kept across text-only deltas.
 
-After every update a participant fetches the supplementary objects its
-document references.  A delta made only of text and comment ops cannot
-change that list, so the page's last scan is reused; any other change to
-the document moves its subtree version and forces a fresh scan.  These
-tests pin both halves: the list fetched after every sync equals a fresh
-scan of the participant's document, and the scan runs exactly when the
-document changed in a way the snippet does not vouch for.
+A delta made only of text and comment ops puts no element into the
+document, so it cannot change the objects the document references: the
+participant carries its object scan over and requests no object at all.
+A full envelope, any other op, a failed apply or a local edit moves the
+document's subtree version, so the next update scans afresh and fetches
+every object the new content references.  These tests pin both halves:
+after every sync the page's loaded objects equal a fresh scan of its
+document, and a scan or fetch runs exactly when the document changed in a
+way the snippet does not vouch for.
 """
 
 import json
@@ -95,13 +97,16 @@ class World:
 
 class Spy:
     """Counts discovery scans of each watched browser's current document
-    and records every URL list each one fetched, in fetch order.  The
+    and its object requests, records every URL list each one fetched, in
+    fetch order, and the URLs whose last request loaded nothing.  The
     Browser class stays patched until ``monkeypatch`` undoes it."""
 
     def __init__(self, browsers, monkeypatch):
         self.browsers = list(browsers)
         self.scans = {browser.name: 0 for browser in self.browsers}
+        self.requests = {browser.name: 0 for browser in self.browsers}
         self.fetched = {browser.name: [] for browser in self.browsers}
+        self.lost = {browser.name: set() for browser in self.browsers}
         real_fetch_current = Browser.fetch_current_objects
         real_fetch_object = Browser._fetch_object
 
@@ -120,9 +125,17 @@ class Spy:
             # Workers pop the shared queue in list order, and each pop is
             # followed by this call before any yield: the record is the
             # fetch list itself.
-            if browser in self.browsers:
-                self.fetched[browser.name][-1].append(object_url)
-            return (yield from real_fetch_object(browser, page, client, object_url))
+            if browser not in self.browsers:
+                return (yield from real_fetch_object(browser, page, client, object_url))
+            self.requests[browser.name] += 1
+            self.fetched[browser.name][-1].append(object_url)
+            yield from real_fetch_object(browser, page, client, object_url)
+            # Each fetch starts the page's list afresh; a failed request
+            # (a 404, a dead host) adds nothing to it.
+            if any(loaded.url == object_url for loaded in page.objects):
+                self.lost[browser.name].discard(object_url)
+            else:
+                self.lost[browser.name].add(object_url)
 
         monkeypatch.setattr(Browser, "discover_object_urls", staticmethod(discover))
         monkeypatch.setattr(Browser, "fetch_current_objects", fetch_current_objects)
@@ -133,6 +146,12 @@ class Spy:
 
     def last_fetch(self, browser):
         return self.fetched[browser.name][-1]
+
+    def assert_nothing_fetched(self, browser):
+        """No fetch, no object request and no scan since the spy began."""
+        assert self.fetched[browser.name] == []
+        assert self.requests[browser.name] == 0
+        assert self.scan_count(browser) == 0
 
 
 @pytest.fixture
@@ -147,17 +166,39 @@ def set_text(element_id, data):
     return mutate
 
 
+def set_logo(path):
+    def mutate(document):
+        document.get_element_by_id("logo").set_attribute("src", path)
+
+    return mutate
+
+
+def loaded_urls(browser):
+    """The page's loaded object URLs, sorted: parallel workers finish
+    out of order."""
+    return sorted(loaded.url for loaded in browser.page.objects)
+
+
+def assert_same_objects(browser, held):
+    """The page holds exactly the ``LoadedObject`` instances in ``held``."""
+    objects = browser.page.objects
+    assert len(objects) == len(held)
+    assert all(now is before for now, before in zip(objects, held))
+
+
 class TestScanCounts:
     def test_text_only_edits_never_rescan(self, spy_on):
         world = World()
         before = world.snippet.stats.delta_updates
+        held = list(world.guest.page.objects)
         spy = spy_on(world.guest)
         for n in range(5):
             world.host_edit(set_text("headline", "v%d" % (n + 1)))
-            assert spy.last_fetch(world.guest) == world.fresh_scan()
-        assert spy.scan_count(world.guest) == 0
-        assert len(spy.fetched[world.guest.name]) == 5
+            spy.assert_nothing_fetched(world.guest)
+            assert loaded_urls(world.guest) == sorted(world.fresh_scan())
+            assert_same_objects(world.guest, held)
         assert world.snippet.stats.delta_updates == before + 5
+        assert world.snippet.stats.last_objects_seconds == 0.0
         assert world.guest.page.document.get_element_by_id("headline").text_content == "v5"
 
     def test_comment_edit_never_rescans(self, spy_on):
@@ -167,17 +208,30 @@ class TestScanCounts:
             note = next(n for n in document.body.child_nodes if isinstance(n, Comment))
             note.data = "changed"
 
+        held = list(world.guest.page.objects)
         spy = spy_on(world.guest)
         world.host_edit(edit_comment)
-        assert spy.scan_count(world.guest) == 0
+        spy.assert_nothing_fetched(world.guest)
+        assert loaded_urls(world.guest) == sorted(world.fresh_scan())
+        assert_same_objects(world.guest, held)
+
+    def test_text_delta_after_cache_clear_requests_nothing(self, spy_on):
+        world = World()
+        held = list(world.guest.page.objects)
+        world.guest.clear_cache()
+        spy = spy_on(world.guest)
+        world.host_edit(set_text("headline", "uncached"))
+        spy.assert_nothing_fetched(world.guest)
+        assert_same_objects(world.guest, held)
+        world.host_edit(set_logo("/img/2.png"))
+        assert len(spy.fetched[world.guest.name]) == 1
         assert spy.last_fetch(world.guest) == world.fresh_scan()
+        assert loaded_urls(world.guest) == sorted(world.fresh_scan())
+        assert not any(loaded.from_cache for loaded in world.guest.page.objects)
 
     @pytest.mark.parametrize("kind", ["attrs", "insert"])
     def test_one_structural_delta_rescans_once(self, spy_on, kind):
         world = World()
-
-        def attrs(document):
-            document.get_element_by_id("logo").set_attribute("src", "/img/2.png")
 
         def insert(document):
             image = Element("img", {"src": "/img/3.png"})
@@ -185,7 +239,7 @@ class TestScanCounts:
 
         before = world.snippet.stats.delta_updates
         spy = spy_on(world.guest)
-        world.host_edit(attrs if kind == "attrs" else insert)
+        world.host_edit(set_logo("/img/2.png") if kind == "attrs" else insert)
         world.host_edit(set_text("headline", "after"))
         assert world.snippet.stats.delta_updates == before + 2
         assert spy.scan_count(world.guest) == 1
@@ -243,20 +297,18 @@ class TestScanCounts:
         for n in range(3):
             world.host_edit(set_text("headline", "r%d" % n))
             for browser in (relay_browser, leaf):
-                assert spy.last_fetch(browser) == world.fresh_scan(browser)
-        world.host_edit(
-            lambda document: document.get_element_by_id("logo").set_attribute(
-                "src", "/img/5.png"
-            )
-        )
+                spy.assert_nothing_fetched(browser)
+                assert loaded_urls(browser) == sorted(world.fresh_scan(browser))
+        world.host_edit(set_logo("/img/5.png"))
         assert world.joined[0].upstream.stats.delta_updates == before + 4
         for browser in (relay_browser, leaf):
-            assert len(spy.fetched[browser.name]) == 4
+            assert len(spy.fetched[browser.name]) == 1
             assert spy.scan_count(browser) == 1
             assert spy.last_fetch(browser) == world.fresh_scan(browser)
+            assert loaded_urls(browser) == sorted(world.fresh_scan(browser))
 
 
-# -- property: the reused list always equals a fresh scan --------------------------------
+# -- property: the loaded objects always equal a fresh scan ------------------------------
 
 STEPS = st.one_of(
     st.tuples(st.just("text"), st.integers(0, 3), st.text("abc <&", max_size=6)),
@@ -339,6 +391,11 @@ def test_fetch_list_always_equals_a_fresh_scan(steps):
                     world.guest.fill_field(field, step[2])
             fetches = len(spy.fetched[world.guest.name])
             world.host_edit(host_mutation(step, tick))
-            assert len(spy.fetched[world.guest.name]) > fetches
-            assert spy.last_fetch(world.guest) == world.fresh_scan()
+            fresh = world.fresh_scan()
+            if len(spy.fetched[world.guest.name]) > fetches:
+                assert spy.last_fetch(world.guest) == fresh
+            # Markup typed into the participant's textarea can reference
+            # an object its agent does not serve: that one stays lost.
+            lost = spy.lost[world.guest.name]
+            assert loaded_urls(world.guest) == sorted(url for url in fresh if url not in lost)
     assert world.snippet.last_doc_time == world.session.agent.doc_time
