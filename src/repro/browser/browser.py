@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Union
 
-from ..html import Document, Element, parse_document
+from ..html import Document, Element, Text, parse_document
 from ..http import CookieJar, Headers, HttpClient, RequestFailed, encode_form
 from ..net.socket import Host
 from ..net.url import Url, UrlError, parse_url, resolve_url
@@ -415,10 +415,12 @@ class Browser:
         return page
 
     def fill_field(self, field: Element, value: str) -> None:
-        """Type into an input/textarea (sets its value attribute)."""
+        """Type into an input (sets its value attribute) or a textarea
+        (its text: typed markup stays text, as in a browser)."""
         if field.tag == "textarea":
             field.remove_all_children()
-            field.inner_html = value
+            if value:
+                field.append_child(Text(value))
         else:
             field.set_attribute("value", value)
         self.observers.notify(

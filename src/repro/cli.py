@@ -654,7 +654,7 @@ def _top(args) -> int:
 
 
 def _logs(args) -> int:
-    import json as _json
+    from .obs import events_to_jsonl
 
     session, monitor, _recorder = _run_monitored_session(args)
     events = session.events.events(
@@ -665,8 +665,7 @@ def _logs(args) -> int:
         session.close()
         return 1
     if args.json:
-        for event in events:
-            print(_json.dumps(event.to_dict(), sort_keys=True))
+        print(events_to_jsonl(events))
     else:
         print(
             "%9s %-20s %-14s %-18s %s" % ("t (s)", "type", "node", "trace", "data")

@@ -12,6 +12,7 @@ category and document-order index on both sides.
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, List
 
 __all__ = [
@@ -79,7 +80,7 @@ class ClickAction(UserAction):
 
     @classmethod
     def _parse(cls, data: Dict) -> "ClickAction":
-        return cls(data.get("ref", ""))
+        return cls(_reference(data, "ref"))
 
 
 class FormFillAction(UserAction):
@@ -99,10 +100,7 @@ class FormFillAction(UserAction):
 
     @classmethod
     def _parse(cls, data: Dict) -> "FormFillAction":
-        fields = data.get("fields")
-        if not isinstance(fields, dict):
-            raise ActionError("formfill fields must be a mapping")
-        return cls(data.get("form_ref", ""), fields)
+        return cls(_reference(data, "form_ref"), _fields(data))
 
 
 class SubmitAction(UserAction):
@@ -122,10 +120,7 @@ class SubmitAction(UserAction):
 
     @classmethod
     def _parse(cls, data: Dict) -> "SubmitAction":
-        fields = data.get("fields")
-        if not isinstance(fields, dict):
-            raise ActionError("submit fields must be a mapping")
-        return cls(data.get("form_ref", ""), fields)
+        return cls(_reference(data, "form_ref"), _fields(data))
 
 
 class MouseMoveAction(UserAction):
@@ -143,7 +138,7 @@ class MouseMoveAction(UserAction):
 
     @classmethod
     def _parse(cls, data: Dict) -> "MouseMoveAction":
-        return cls(data.get("x", 0), data.get("y", 0))
+        return cls(_integer(data, "x"), _integer(data, "y"))
 
 
 class PresenceAction(UserAction):
@@ -166,9 +161,9 @@ class PresenceAction(UserAction):
     @classmethod
     def _parse(cls, data: Dict) -> "PresenceAction":
         participants = data.get("participants")
-        if not isinstance(participants, list):
-            raise ActionError("presence requires a participant list")
-        return cls([str(p) for p in participants])
+        if type(participants) is not list or not all(type(p) is str for p in participants):
+            raise ActionError("presence requires a list of participant ids")
+        return cls(participants)
 
 
 class ScrollAction(UserAction):
@@ -185,7 +180,43 @@ class ScrollAction(UserAction):
 
     @classmethod
     def _parse(cls, data: Dict) -> "ScrollAction":
-        return cls(data.get("offset", 0))
+        return cls(_integer(data, "offset"))
+
+
+# Wire fields are checked by JSON type, as the agent checks a poll body:
+# a reference is a non-empty string, form fields map text to text and a
+# coordinate or offset is an integer (a bool is not).
+
+#: A lone surrogate: a JSON string may escape one, but a form submission
+#: cannot encode it as UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _reference(data: Dict, key: str) -> str:
+    ref = data.get(key)
+    if type(ref) is not str or not ref:
+        raise ActionError("%s must be a non-empty string" % key)
+    return ref
+
+
+def _fields(data: Dict) -> Dict[str, str]:
+    fields = data.get("fields")
+    if type(fields) is not dict or not all(
+        _is_text(name) and _is_text(value) for name, value in fields.items()
+    ):
+        raise ActionError("fields must map text to text")
+    return fields
+
+
+def _is_text(value) -> bool:
+    return type(value) is str and (value.isascii() or _SURROGATE.search(value) is None)
+
+
+def _integer(data: Dict, key: str) -> int:
+    value = data.get(key, 0)
+    if type(value) is not int:
+        raise ActionError("%s must be an integer" % key)
+    return value
 
 
 _ACTION_TYPES = {
@@ -224,7 +255,7 @@ def decode_action_list(items) -> List[UserAction]:
         raise ActionError("action payload must be a list of objects")
     try:
         return [UserAction.from_dict(item) for item in items]
-    except (TypeError, ValueError, OverflowError) as exc:  # e.g. int() of a bad coordinate
+    except TypeError as exc:  # an unhashable kind, such as a list
         raise ActionError("bad action field: %s" % (exc,))
 
 

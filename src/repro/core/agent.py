@@ -233,8 +233,7 @@ class RCBAgent(BrowserExtension):
         self._object_map: Dict[str, str] = {}
 
         self._doc_time = 0
-        #: The document state ``_delta_memo``, ``_wire_templates`` and
-        #: ``_plans`` (below) were built for.
+        #: The document state ``_plans`` (below) was built for.
         self._generated_for_time = -1
         self._generation_count = 0
         #: Stable rewrite callables per (mode key, page URL, auth
@@ -250,16 +249,11 @@ class RCBAgent(BrowserExtension):
         #: snapshots share unchanged nodes, so one serialization of each
         #: node serves every diff that meets it while it stays cached.
         self._snapshot_keys = SegmentCache()
-        #: Memoized ops JSON per (base_time, mode_key) for the *current*
-        #: document state: participants at the same base share one diff.
-        self._delta_memo: Dict = {}
-        #: The generation cache, for the *current* document state only:
-        #: the generated envelope's pre-encoded wire template per mode
-        #: key (generated once, reused for every participant).
-        self._wire_templates: Dict[str, WireTemplate] = {}
         #: Broadcast plans (or remembered fallbacks) per (base_time,
         #: mode_key) for the current document state — base 0 is the
-        #: full envelope.  Co-due polls share one diff and one body.
+        #: full envelope.  Co-due polls share one generation, one diff
+        #: and one body; ``_full_plan`` empties the table when the
+        #: document state advances.
         self._plans: Dict[tuple, object] = {}
         #: Escaped userActions payloads keyed by action-object identity:
         #: broadcast_action hands the *same* action objects to every
@@ -952,23 +946,16 @@ class RCBAgent(BrowserExtension):
 
     # -- content generation & reuse ------------------------------------------------------------
 
-    def _ensure_generated(self, participant_id: str) -> WireTemplate:
-        """(Re)generate the envelope if the document changed; returns the
-        cached wire template (the userActions slot left open).
+    def _generate(self, participant_id: str, mode_key: str) -> WireTemplate:
+        """Generate the envelope of the current document state for one
+        cache-mode group; returns its wire template (the userActions
+        slot left open).
 
-        Templates are cached per cache-mode key: participants whose
-        policy decisions coincide share one generation (paper §4.1.2's
-        generate-once-reuse, preserved within each mode group).
+        :meth:`_full_plan` calls this once per document state and mode
+        key: participants whose policy decisions coincide share one
+        generation (paper §4.1.2's generate-once-reuse, preserved within
+        each mode group).
         """
-        if self._generated_for_time != self._doc_time:
-            self._delta_memo = {}
-            self._wire_templates = {}
-            self._plans = {}
-            self._generated_for_time = self._doc_time
-        mode_key = self.cache_policy.mode_key(participant_id)
-        template = self._wire_templates.get(mode_key)
-        if template is not None:
-            return template
         page = self.browser.page
         page_url = str(page.url)
         sign_target, should_cache = self._rewrite_callables(
@@ -996,7 +983,7 @@ class RCBAgent(BrowserExtension):
         self._object_map.update(generated.object_map)
         # Zero-copy wire path: assemble the template from the
         # generator's pre-encoded immutable segment bytes.
-        template = self._wire_templates[mode_key] = wire_envelope_template(
+        template = wire_envelope_template(
             self._doc_time,
             generated.head_segments,
             generated.top_segments,
@@ -1088,12 +1075,10 @@ class RCBAgent(BrowserExtension):
         return None if per_mode is None else per_mode.get(mode_key)
 
     def _delta_ops_json(self, their_time: int, mode_key: str) -> Optional[str]:
-        """Memoized delta ops JSON for one base, or None when either
-        snapshot has left the ring — one diff per base and document
+        """Delta ops JSON from one base to the current state, or None
+        when either snapshot has left the ring.  :meth:`_delta_plan`
+        keeps the outcome, so this runs once per base and document
         state, whatever the number of members asking for it."""
-        ops_json = self._delta_memo.get((their_time, mode_key))
-        if ops_json is not None:
-            return ops_json
         old_tree = self._snapshot_tree(their_time, mode_key)
         new_tree = self._snapshot_tree(self._doc_time, mode_key)
         if old_tree is None or new_tree is None:
@@ -1106,7 +1091,6 @@ class RCBAgent(BrowserExtension):
             cache=self._snapshot_keys,
         )
         ops_json = json.dumps(ops, separators=(",", ":"))
-        self._delta_memo[(their_time, mode_key)] = ops_json
         if self.tracer is not None:
             now = self.browser.sim.now
             self.tracer.start_span(
@@ -1124,15 +1108,17 @@ class RCBAgent(BrowserExtension):
     # -- serving (broadcast plans) --------------------------------------------------------
 
     def _full_plan(self, participant_id: str, mode_key: str) -> BroadcastPlan:
-        """The full-envelope broadcast plan for a mode group, building
-        it (once per document state) from the cached wire template."""
+        """The full-envelope broadcast plan for a mode group, generated
+        once per document state.  A new document state first empties the
+        plan table: every plan in it was built for an older state."""
         if self._generated_for_time == self._doc_time:
-            # Hot path: current-state plan already built — skip the
-            # generation-cache walk entirely.
             plan = self._plans.get((0, mode_key))
             if plan is not None:
                 return plan
-        plan = BroadcastPlan(self._ensure_generated(participant_id), is_delta=False)
+        else:
+            self._plans = {}
+            self._generated_for_time = self._doc_time
+        plan = BroadcastPlan(self._generate(participant_id, mode_key), is_delta=False)
         self._plans[(0, mode_key)] = plan
         self.stats.inc("serve_plans_built")
         self._plans_built_n += 1

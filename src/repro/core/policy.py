@@ -3,15 +3,14 @@
 Each session is hosted and moderated by the co-browsing host.  When a
 participant's action arrives, the policy decides whether RCB-Agent
 performs it immediately, holds it for the host's explicit confirmation,
-or ignores it.  With multiple participants, the policy also decides
-*whose* interactions are allowed.  The paper deliberately leaves policy
-specification application-dependent; these classes cover the behaviours
-it names.
+or ignores it.  The paper deliberately leaves policy specification
+application-dependent; these classes cover the behaviours the sessions
+here use.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Tuple
 
 from .actions import UserAction
 
@@ -20,7 +19,6 @@ __all__ = [
     "OpenPolicy",
     "ObserveOnlyPolicy",
     "ConfirmPolicy",
-    "AllowListPolicy",
     "PendingAction",
 ]
 
@@ -81,34 +79,3 @@ class ConfirmPolicy(ModerationPolicy):
         if action.kind in self.auto_apply_kinds:
             return self.APPLY
         return self.HOLD
-
-
-class AllowListPolicy(ModerationPolicy):
-    """Only listed participants may interact; others observe.
-
-    ``interaction_kinds`` optionally restricts which action kinds are
-    allowed even for listed participants (e.g. form filling but not
-    clicking through to new pages).
-    """
-
-    def __init__(
-        self,
-        allowed_participants: Optional[Set[str]] = None,
-        interaction_kinds: Optional[Set[str]] = None,
-    ):
-        self.allowed_participants = set(allowed_participants or set())
-        self.interaction_kinds = (
-            set(interaction_kinds) if interaction_kinds is not None else None
-        )
-
-    def allow(self, participant_id: str) -> None:
-        """Grant a participant interaction rights."""
-        self.allowed_participants.add(participant_id)
-
-    def decide(self, participant_id: str, action: UserAction) -> str:
-        """Return APPLY, HOLD, or DROP for this action."""
-        if participant_id not in self.allowed_participants:
-            return self.DROP
-        if self.interaction_kinds is not None and action.kind not in self.interaction_kinds:
-            return self.DROP
-        return self.APPLY

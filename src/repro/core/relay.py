@@ -339,7 +339,7 @@ class RelayAgent(RCBAgent):
             # Upstream is down; deliver after re-attachment.
             self._pending_upstream.append(action)
 
-    def _ensure_generated(self, participant_id: str) -> WireTemplate:
+    def _generate(self, participant_id: str, mode_key: str) -> WireTemplate:
         """Regenerate with the relay's own Ajax-Snippet lifted out.
 
         The relay's head keeps its snippet <script> (step 1 of the
@@ -353,7 +353,7 @@ class RelayAgent(RCBAgent):
         scan_current = page.object_scan_current
         snippet_script = _lift_snippet_script(page.document)
         try:
-            return super()._ensure_generated(participant_id)
+            return super()._generate(participant_id, mode_key)
         finally:
             _restore_snippet_script(page.document, snippet_script)
             if scan_current:

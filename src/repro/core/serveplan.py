@@ -8,13 +8,13 @@ reference* (zero-copy); the only bytes materialized per receiver are
 the spliced userActions payload, and receivers with no queued actions
 share one module-level constant even for that.
 
-The agent keys plans exactly like its PR-1 diff memo: ``base_time`` 0
-is the full envelope, any other base is a delta plan, and the whole
-plan table is invalidated together with the envelope caches when
-``doc_time`` advances.  A base whose diff could not be built (evicted
-snapshot) or lost on size is remembered as a :class:`PlanFallback`, so
-co-due members of a hopeless base don't re-attempt the diff — but the
-fallback stats and events are still replayed once per serve.
+The agent keys plans by ``(base_time, mode_key)``: ``base_time`` 0 is
+the full envelope, any other base is a delta plan, and the whole plan
+table is emptied when ``doc_time`` advances.  A base whose diff could
+not be built (evicted snapshot) or lost on size is remembered as a
+:class:`PlanFallback`, so co-due members of a hopeless base don't
+re-attempt the diff — but the fallback stats and events are still
+replayed once per serve.
 """
 
 from __future__ import annotations

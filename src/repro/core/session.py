@@ -523,7 +523,8 @@ class CoBrowsingSession:
         return max(node.depth for node in self._nodes.values())
 
     def relay_summary(self) -> Dict[str, object]:
-        """Fan-out accounting for :func:`~repro.metrics.render_relay_summary`.
+        """Fan-out accounting, read by the relay ablation benchmark and
+        the health engine's per-tier sync rule.
 
         ``host_content_bytes`` is what the root's uplink actually
         carried in envelopes; ``relay_content_bytes`` is the envelope

@@ -507,13 +507,6 @@ class AjaxSnippet:
             sync_seconds=sync_seconds,
         )
 
-    def _finish_apply_span(self, span: Optional[Span], wall_seconds: float) -> None:
-        if span is None:
-            return
-        span.tags["wall_seconds"] = wall_seconds
-        span.finish(self.sim.now)
-        self.last_apply_context = span.context
-
     def _process_response(
         self, body_text: str, poll_started: float, trace_header: Optional[str] = None
     ):
@@ -567,27 +560,8 @@ class AjaxSnippet:
             span = self._start_apply_span(trace_header, "full", content, sync_seconds)
             wall_started = time.perf_counter()
             self._apply_update(content)
-            self._apply_replicated_cookies(content)
             self.stats.last_update_seconds = time.perf_counter() - wall_started
-            self.stats.last_sync_seconds = sync_seconds
-            if self.fetch_objects:
-                elapsed = yield from self.browser.fetch_current_objects()
-                self.stats.last_objects_seconds = elapsed
-            # Only now is the participant fully rendered; advancing the
-            # timestamp earlier would let is_synced() observe a page whose
-            # supplementary objects are still in flight.
-            self.last_doc_time = content.doc_time
-            self.stats.content_updates += 1
-            if self.telemetry is not None:
-                # Client truth: staleness is measured here, at apply
-                # time, from the envelope's own doc_time stamp.
-                self.telemetry.record_apply(
-                    max(0, int(self.sim.now * 1000) - content.doc_time),
-                    self.stats.last_update_seconds,
-                )
-            self._finish_apply_span(span, self.stats.last_update_seconds)
-            if self.on_content is not None:
-                self.on_content(content)
+            yield from self._finish_update(content, span, sync_seconds)
         else:
             self.stats.action_only_updates += 1
             yield self.sim.timeout(0)
@@ -640,6 +614,20 @@ class AjaxSnippet:
                 )
             yield self.sim.timeout(0)
             return False
+        yield from self._finish_update(content, span, sync_seconds, scan_carried, delta=True)
+        return True
+
+    def _finish_update(
+        self,
+        content: NewContent,
+        span: Optional[Span],
+        sync_seconds: float,
+        scan_carried: bool = False,
+        delta: bool = False,
+    ):
+        """What follows an applied full envelope or delta: cookies, the
+        page's objects, the new ``last_doc_time``, the counters, the
+        telemetry record, the apply span and ``on_content``."""
         self._apply_replicated_cookies(content)
         self.stats.last_sync_seconds = sync_seconds
         if self.fetch_objects:
@@ -650,19 +638,27 @@ class AjaxSnippet:
             else:
                 elapsed = yield from self.browser.fetch_current_objects()
                 self.stats.last_objects_seconds = elapsed
+        # Only now is the participant fully rendered; advancing the
+        # timestamp earlier would let is_synced() observe a page whose
+        # supplementary objects are still in flight.
         self.last_doc_time = content.doc_time
         self.stats.content_updates += 1
-        self.stats.delta_updates += 1
+        if delta:
+            self.stats.delta_updates += 1
         if self.telemetry is not None:
+            # Client truth: staleness is measured here, at apply time,
+            # from the envelope's own doc_time stamp.
             self.telemetry.record_apply(
                 max(0, int(self.sim.now * 1000) - content.doc_time),
                 self.stats.last_update_seconds,
-                delta=True,
+                delta=delta,
             )
-        self._finish_apply_span(span, self.stats.last_update_seconds)
+        if span is not None:
+            span.tags["wall_seconds"] = self.stats.last_update_seconds
+            span.finish(self.sim.now)
+            self.last_apply_context = span.context
         if self.on_content is not None:
             self.on_content(content)
-        return True
 
     def _apply_delta_ops(self, content: NewContent) -> bool:
         """Apply the ops with Ajax-Snippet's own <script> lifted out, so

@@ -12,7 +12,6 @@ from .dom import (
 )
 from .entities import decode_entities, escape_attribute, escape_text
 from .parser import parse_document, parse_fragment
-from .select import SelectorError, matches, select, select_one
 from .serializer import serialize_children, serialize_document, serialize_node
 
 __all__ = [
@@ -22,17 +21,13 @@ __all__ = [
     "Element",
     "Node",
     "RAW_TEXT_ELEMENTS",
-    "SelectorError",
     "Text",
     "VOID_ELEMENTS",
     "decode_entities",
     "escape_attribute",
     "escape_text",
-    "matches",
     "parse_document",
     "parse_fragment",
-    "select",
-    "select_one",
     "serialize_children",
     "serialize_document",
     "serialize_node",

@@ -4,12 +4,10 @@ from .harness import ExperimentResult, POLL_INTERVAL, run_experiment, run_round
 from .metrics import SiteMeasurement, average_measurements, measure_site_cobrowsing
 from .report import (
     bar,
-    render_delta_summary,
     render_figure_m1_m2,
     render_figure_m3_m4,
     render_fleet_table,
     render_health_summary,
-    render_relay_summary,
     render_shape_checks,
     render_table1,
     render_trace_summary,
@@ -22,12 +20,10 @@ __all__ = [
     "average_measurements",
     "bar",
     "measure_site_cobrowsing",
-    "render_delta_summary",
     "render_figure_m1_m2",
     "render_figure_m3_m4",
     "render_fleet_table",
     "render_health_summary",
-    "render_relay_summary",
     "render_shape_checks",
     "render_table1",
     "render_trace_summary",

@@ -13,12 +13,10 @@ from ..obs import Histogram, percentile
 from .metrics import SiteMeasurement
 
 __all__ = [
-    "render_delta_summary",
     "render_figure_m1_m2",
     "render_figure_m3_m4",
     "render_fleet_table",
     "render_health_summary",
-    "render_relay_summary",
     "render_table1",
     "render_trace_summary",
     "render_shape_checks",
@@ -144,96 +142,6 @@ def render_shape_checks(checks: Dict[str, bool]) -> str:
     lines = ["Shape checks (paper claim -> this reproduction):"]
     for name, passed in checks.items():
         lines.append("  [%s] %s" % ("PASS" if passed else "FAIL", name))
-    return "\n".join(lines)
-
-
-def render_delta_summary(agent_stats: Dict[str, int], title: str = "Delta envelopes") -> str:
-    """Delta-vs-full accounting from an :class:`RCBAgent`'s stats dict:
-    how many content responses went out incrementally and the bytes the
-    diffs saved relative to full envelopes."""
-    delta = agent_stats.get("delta_responses", 0)
-    full = agent_stats.get("full_responses", 0)
-    fallbacks = agent_stats.get("delta_fallbacks", 0)
-    delta_bytes = agent_stats.get("delta_bytes_sent", 0)
-    full_bytes = agent_stats.get("full_bytes_sent", 0)
-    saved = agent_stats.get("delta_bytes_saved", 0)
-    total = delta + full
-    lines = [
-        "%s: %d of %d content responses incremental" % (title, delta, total),
-        "  full envelopes: %d (%d resync/oversize fallbacks)" % (full, fallbacks),
-        "  bytes on the wire: %d delta + %d full" % (delta_bytes, full_bytes),
-        "  bytes saved by diffs: %d" % saved,
-    ]
-    if delta and saved:
-        lines.append(
-            "  average delta response is %.1fx smaller than the full envelope"
-            % ((delta_bytes + saved) / max(1, delta_bytes))
-        )
-    return "\n".join(lines)
-
-
-def render_relay_summary(summary: Dict[str, object], title: str = "Relay fan-out") -> str:
-    """Fan-out tree accounting from
-    :meth:`~repro.core.session.CoBrowsingSession.relay_summary`: what the
-    host's uplink carried versus what the relay tiers absorbed, and the
-    per-tier poll load and content-sync latency."""
-    host_bytes = summary.get("host_content_bytes", 0)
-    relay_bytes = summary.get("relay_content_bytes", 0)
-    total_bytes = host_bytes + relay_bytes
-    lines = [
-        "%s: %d members in a branching-%s tree, depth %d"
-        % (
-            title,
-            summary.get("members", 0),
-            summary.get("branching"),
-            summary.get("depth", 0),
-        ),
-        "  host served %d polls, %d envelope bytes, %d object requests"
-        % (
-            summary.get("host_polls", 0),
-            host_bytes,
-            summary.get("host_object_requests", 0),
-        ),
-        "  relays absorbed %d envelope bytes (host uplink saved %.0f%%) "
-        "and %d object requests"
-        % (
-            relay_bytes,
-            100.0 * relay_bytes / total_bytes if total_bytes else 0.0,
-            summary.get("relay_object_requests", 0),
-        ),
-        "  re-attachments after relay failures: %d"
-        % summary.get("reattachments", 0),
-    ]
-    tiers = summary.get("tiers") or {}
-    if tiers:
-        lines.append(
-            "  %-6s %6s %8s %14s %14s %9s %9s %9s"
-            % (
-                "tier",
-                "nodes",
-                "polls",
-                "content bytes",
-                "mean sync (s)",
-                "p50 (s)",
-                "p95 (s)",
-                "p99 (s)",
-            )
-        )
-        for depth in sorted(tiers):
-            tier = tiers[depth]
-            lines.append(
-                "  %-6d %6d %8d %14d %14.3f %9.3f %9.3f %9.3f"
-                % (
-                    depth,
-                    tier.get("nodes", 0),
-                    tier.get("polls", 0),
-                    tier.get("content_bytes", 0),
-                    tier.get("mean_sync_seconds", 0.0),
-                    tier.get("sync_p50", 0.0),
-                    tier.get("sync_p95", 0.0),
-                    tier.get("sync_p99", 0.0),
-                )
-            )
     return "\n".join(lines)
 
 

@@ -35,7 +35,6 @@ from .events import (
     DELTA_APPLY_FAILED,
     DELTA_FALLBACK,
     HMAC_REJECT,
-    KNOWN_EVENT_TYPES,
     MEMBER_JOIN,
     MEMBER_LEAVE,
     POLL_SERVED,
@@ -58,7 +57,6 @@ from .export import (
     speedscope_profile,
     write_chrome_trace,
     write_collapsed,
-    write_events_jsonl,
     write_spans_jsonl,
     write_speedscope,
 )
@@ -75,7 +73,6 @@ from .health import (
     fleet_rules,
     perf_budget_rules,
     shard_rules,
-    transport_rules,
 )
 from .profile import (
     FrameStat,
@@ -120,7 +117,6 @@ __all__ = [
     "HealthMonitor",
     "HealthReport",
     "Histogram",
-    "KNOWN_EVENT_TYPES",
     "LogBucketSketch",
     "MEMBER_JOIN",
     "MEMBER_LEAVE",
@@ -166,10 +162,8 @@ __all__ = [
     "shard_rules",
     "spans_to_jsonl",
     "speedscope_profile",
-    "transport_rules",
     "write_chrome_trace",
     "write_collapsed",
-    "write_events_jsonl",
     "write_spans_jsonl",
     "write_speedscope",
 ]

@@ -43,7 +43,6 @@ __all__ = [
     "Event",
     "EventBus",
     "HMAC_REJECT",
-    "KNOWN_EVENT_TYPES",
     "MEMBER_JOIN",
     "MEMBER_LEAVE",
     "POLL_SERVED",
@@ -89,27 +88,6 @@ SHARD_PROMOTE = "shard.promote"
 #: The session directory moved a member to another serving instance
 #: (rebalance or failover; node = the member).
 SHARD_MIGRATE = "shard.migrate"
-
-#: The closed vocabulary above (documentation + test assertions; the
-#: bus itself accepts any string so extensions stay cheap).
-KNOWN_EVENT_TYPES = frozenset(
-    {
-        POLL_SERVED,
-        DELTA_FALLBACK,
-        DELTA_APPLY_FAILED,
-        RELAY_DEATH,
-        RELAY_REATTACH,
-        HMAC_REJECT,
-        RESYNC_FORCED,
-        MEMBER_JOIN,
-        MEMBER_LEAVE,
-        SLO_BREACH,
-        SLO_RECOVER,
-        TRANSPORT_SWITCH,
-        SHARD_PROMOTE,
-        SHARD_MIGRATE,
-    }
-)
 
 
 class Event:

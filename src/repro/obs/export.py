@@ -6,7 +6,7 @@ Formats and audiences:
   line; trivially greppable/`jq`-able, the format the nightly benchmark
   artifacts keep.
 * **Event JSONL** — one :meth:`~repro.obs.events.Event.to_dict` object
-  per line, in emission order; the persistent form of ``repro logs``.
+  per line, in emission order; what ``repro logs --json`` prints.
 * **Chrome trace-event JSON** — loadable in ``chrome://tracing`` /
   Perfetto.  Each span becomes a complete ("X") event; pipeline nodes
   (host, relays, participants) map to named threads so a relayed
@@ -36,7 +36,6 @@ __all__ = [
     "speedscope_profile",
     "write_chrome_trace",
     "write_collapsed",
-    "write_events_jsonl",
     "write_spans_jsonl",
     "write_speedscope",
 ]
@@ -74,16 +73,6 @@ def events_to_jsonl(source) -> str:
     return "\n".join(
         json.dumps(event.to_dict(), sort_keys=True) for event in _events(source)
     )
-
-
-def write_events_jsonl(source, path: str) -> int:
-    """Write the event JSONL dump to ``path``; returns the event count."""
-    events = _events(source)
-    with open(path, "w") as handle:
-        text = events_to_jsonl(events)
-        if text:
-            handle.write(text + "\n")
-    return len(events)
 
 
 def chrome_trace(source) -> Dict[str, object]:
@@ -158,11 +147,11 @@ def collapsed_stacks(source, since: float = 0.0, wall: bool = False) -> str:
 
 def write_collapsed(source, path: str, since: float = 0.0, wall: bool = False) -> int:
     """Write collapsed stacks to ``path``; returns the line count."""
-    lines = _profile(source, since).collapsed(wall=wall)
+    text = collapsed_stacks(source, since, wall)
     with open(path, "w") as handle:
-        if lines:
-            handle.write("\n".join(lines) + "\n")
-    return len(lines)
+        if text:
+            handle.write(text + "\n")
+    return text.count("\n") + 1 if text else 0
 
 
 def speedscope_profile(

@@ -42,7 +42,6 @@ from .events import (
     SHARD_PROMOTE,
     SLO_BREACH,
     SLO_RECOVER,
-    TRANSPORT_SWITCH,
     EventBus,
 )
 from .registry import percentile
@@ -59,7 +58,6 @@ __all__ = [
     "fleet_rules",
     "perf_budget_rules",
     "shard_rules",
-    "transport_rules",
 ]
 
 OK = "OK"
@@ -295,37 +293,6 @@ def default_rules(
             breach=tier_sync_breach_s,
             unit="s",
             description="per-tier sync latency p95 vs the delay budget",
-        ),
-    ]
-
-
-def _transport_switch_values(monitor: "HealthMonitor") -> Dict[str, float]:
-    if monitor.events is None:
-        return {}
-    count = monitor.events.count(
-        type=TRANSPORT_SWITCH, since=monitor.now - monitor.window
-    )
-    minutes = max(monitor.window, 1e-9) / 60.0
-    return {SESSION_SUBJECT: count / minutes}
-
-
-def transport_rules(
-    switch_warn_per_min: float = 6.0,
-    switch_breach_per_min: float = 20.0,
-) -> List[SloRule]:
-    """Add-on rules for deployments running the adaptive transport
-    controller (append to :func:`default_rules`; not part of it, so
-    controller-free sessions see no new subjects).  A controller that
-    keeps switching members is itself an SLO violation — dwell
-    hysteresis should make switches rare after convergence."""
-    return [
-        SloRule(
-            "transport_switch_rate",
-            _transport_switch_values,
-            warn=switch_warn_per_min,
-            breach=switch_breach_per_min,
-            unit="/min",
-            description="adaptive transport mode switches per minute",
         ),
     ]
 

@@ -11,23 +11,18 @@ from .kernel import (
     Simulator,
     Timeout,
 )
-from .resources import Resource, Store, StoreClosed, drain
-from .trace import InstrumentedSimulator, KernelStats
+from .resources import Store, StoreClosed
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
     "Event",
-    "InstrumentedSimulator",
     "Interrupt",
-    "KernelStats",
     "Process",
-    "Resource",
     "SimulationError",
     "Simulator",
     "Store",
     "StoreClosed",
     "Timeout",
-    "drain",
 ]

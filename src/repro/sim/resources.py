@@ -1,19 +1,18 @@
-"""Synchronization primitives built on the kernel: stores and resources.
+"""Synchronization primitive built on the kernel: the store.
 
 :class:`Store` is an unbounded (or bounded) FIFO queue of items with
 event-returning ``put``/``get`` — the building block for simulated network
-channels and socket buffers.  :class:`Resource` models mutually exclusive
-capacity (e.g. a server worker pool).
+channels and socket buffers.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List
+from typing import Any, Deque
 
-from .kernel import Event, SimulationError, Simulator
+from .kernel import Event, Simulator
 
-__all__ = ["Store", "Resource", "StoreClosed"]
+__all__ = ["Store", "StoreClosed"]
 
 
 class StoreClosed(Exception):
@@ -62,15 +61,6 @@ class Store:
         self._dispatch()
         return event
 
-    def try_get(self) -> Any:
-        """Non-blocking get; returns None when empty."""
-        self._dispatch()
-        if self.items:
-            item = self.items.popleft()
-            self._dispatch()
-            return item
-        return None
-
     def close(self) -> None:
         """Close the store; pending and future getters fail once drained."""
         if self._closed:
@@ -101,55 +91,3 @@ class Store:
                 putter = self._putters.popleft()
                 self.items.append(putter.item)
                 putter.succeed()
-
-
-class Resource:
-    """Counting resource with FIFO request queue (like a semaphore)."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def available(self) -> int:
-        """Unclaimed capacity."""
-        return self.capacity - self.in_use
-
-    def request(self) -> Event:
-        """Return an event that triggers once a slot is acquired."""
-        event = self.sim.event()
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Return one slot; wakes the next FIFO waiter."""
-        if self.in_use <= 0:
-            raise SimulationError("release() without a matching request()")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.succeed()
-        else:
-            self.in_use -= 1
-
-    def queued(self) -> int:
-        """Number of blocked requesters."""
-        return len(self._waiters)
-
-
-def drain(store: Store) -> List[Any]:
-    """Remove and return every buffered item (non-blocking)."""
-    items = []
-    while True:
-        item = store.try_get()
-        if item is None:
-            break
-        items.append(item)
-    return items

@@ -3,7 +3,7 @@ map service, and the session-protected shop."""
 
 from .mapservice import MAP_HOST, MapPageDriver, MapService, VIEWPORT_TILES
 from .pagegen import GeneratedSite, generate_site
-from .server import OriginServer, StaticSite, deploy_site
+from .server import OriginServer, StaticSite
 from .shop import Product, SHOP_HOST, ShopService
 from .sites import (
     SiteSpec,
@@ -25,7 +25,6 @@ __all__ = [
     "StaticSite",
     "TABLE1_SITES",
     "VIEWPORT_TILES",
-    "deploy_site",
     "deploy_table1_sites",
     "generate_site",
     "generate_table1_site",

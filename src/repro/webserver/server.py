@@ -9,7 +9,7 @@ from ..net.link import SERVER_PROFILE, LinkProfile
 from ..net.socket import Host, Network
 from .pagegen import GeneratedSite
 
-__all__ = ["StaticSite", "OriginServer", "deploy_site"]
+__all__ = ["StaticSite", "OriginServer"]
 
 #: Server-side think time per request — small but nonzero, as real
 #: origin servers have.
@@ -94,22 +94,3 @@ class OriginServer:
     def requests_served(self) -> int:
         """Requests answered since the server started."""
         return self.http.requests_served
-
-
-def deploy_site(
-    network: Network,
-    generated: GeneratedSite,
-    port: int = 80,
-    extra_latency_s: float = 0.0,
-    processing_delay: float = DEFAULT_PROCESSING_DELAY,
-) -> OriginServer:
-    """Put a generated site on the simulated internet."""
-    site = StaticSite.from_generated(generated)
-    return OriginServer(
-        network,
-        generated.host,
-        site.handle,
-        port=port,
-        extra_latency_s=extra_latency_s,
-        processing_delay=processing_delay,
-    )

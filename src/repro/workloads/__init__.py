@@ -12,14 +12,12 @@ from .surf import SurfOperation, SurfReport, generate_trace, run_surf
 from .usability import (
     LIKERT_LEVELS,
     QuestionSummary,
-    StudyResult,
     TABLE3_QUESTIONS,
     TABLE4_DISTRIBUTIONS,
     analyze_questionnaire,
     generate_questionnaire_responses,
     invert_negative_response,
     run_pair_study,
-    run_usability_study,
 )
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "ScenarioRunner",
     "SurfOperation",
     "SurfReport",
-    "StudyResult",
     "TABLE2_TASKS",
     "TABLE3_QUESTIONS",
     "TABLE4_DISTRIBUTIONS",
@@ -44,5 +41,4 @@ __all__ = [
     "invert_negative_response",
     "run_pair_study",
     "run_surf",
-    "run_usability_study",
 ]

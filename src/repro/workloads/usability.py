@@ -34,8 +34,6 @@ __all__ = [
     "invert_negative_response",
     "analyze_questionnaire",
     "run_pair_study",
-    "run_usability_study",
-    "StudyResult",
 ]
 
 #: Five-point Likert scale, 1 = Strongly disagree ... 5 = Strongly agree.
@@ -176,18 +174,6 @@ def analyze_questionnaire(
 # -- task-execution side of the study -----------------------------------------------
 
 
-class StudyResult:
-    """Aggregate outcome of the simulated usability study."""
-
-    def __init__(
-        self,
-        pair_results: List[List[TaskResult]],
-        summaries: List[QuestionSummary],
-    ):
-        self.pair_results = pair_results
-        self.summaries = summaries
-
-
 def run_pair_study(pair_index: int = 0, poll_interval: float = 1.0) -> List[List[TaskResult]]:
     """One pair of subjects: two sessions with roles switched."""
     sessions = []
@@ -203,16 +189,3 @@ def run_pair_study(pair_index: int = 0, poll_interval: float = 1.0) -> List[List
         sessions.append(results)
         del role_swap
     return sessions
-
-
-def run_usability_study(
-    pairs: int = 10, poll_interval: float = 1.0, seed: int = 2009
-) -> StudyResult:
-    """The full §5.2.3 protocol: 10 pairs x 2 sessions x 20 tasks, plus
-    the questionnaire analysis."""
-    all_sessions: List[List[TaskResult]] = []
-    for pair_index in range(pairs):
-        all_sessions.extend(run_pair_study(pair_index, poll_interval))
-    responses = generate_questionnaire_responses(seed)
-    summaries = analyze_questionnaire(responses)
-    return StudyResult(all_sessions, summaries)

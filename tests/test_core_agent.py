@@ -4,12 +4,14 @@ import gc
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.browser import Browser
 from repro.core import (
     ClickAction,
     CoBrowsingSession,
     ConfirmPolicy,
+    FormFillAction,
     MouseMoveAction,
     ObserveOnlyPolicy,
     RCBAgent,
@@ -286,8 +288,6 @@ class TestModeration:
 
         def scenario():
             yield from host_browser.navigate("http://site.com/")
-            from repro.core import FormFillAction
-
             action = FormFillAction("form:0", {"f": "from-alice"})
             yield from client.post(
                 "http://host-pc:3000/poll",
@@ -673,14 +673,14 @@ def send_raw(sim, intruder_host, session, wire, wait=5.0):
 
 def post_action(intruder_host, session, action):
     """An ``intrude`` generator for :func:`run_hostile`: one poll from a
-    third party carrying ``action``; returns the agent's response."""
+    third party carrying ``action`` (its wire dict); returns the agent's
+    response."""
+    body = json.dumps({"participant": "mallory", "timestamp": 0, "actions": [action]})
 
     def intrude():
         return (
             yield from HttpClient(intruder_host).post(
-                session.agent.url + "poll",
-                poll_body("mallory", actions=[action]),
-                content_type="application/json",
+                session.agent.url + "poll", body.encode(), content_type="application/json"
             )
         )
 
@@ -749,7 +749,7 @@ class TestHostileParticipantInputs:
         sim, host, guest, intruder_host, session = hostile_session(
             '<a href="%s">go</a>' % anchor_href, handler
         )
-        intrude = post_action(intruder_host, session, ClickAction(ref))
+        intrude = post_action(intruder_host, session, ClickAction(ref).to_dict())
         response = run_hostile(sim, host, guest, session, intrude)
         assert response.status == 200
         assert session.agent.stats["action_errors"] == 1
@@ -767,7 +767,9 @@ class TestHostileParticipantInputs:
     def test_failed_submit_is_a_counted_action_error(self, form_action, method):
         form = '<form action="%s" method="%s"><input name="q" value=""></form>'
         sim, host, guest, intruder_host, session = hostile_session(form % (form_action, method))
-        intrude = post_action(intruder_host, session, SubmitAction("form:0", {"q": "x"}))
+        intrude = post_action(
+            intruder_host, session, SubmitAction("form:0", {"q": "x"}).to_dict()
+        )
         response = run_hostile(sim, host, guest, session, intrude)
         assert response.status == 200
         assert session.agent.stats["action_errors"] == 1
@@ -775,3 +777,174 @@ class TestHostileParticipantInputs:
         assert str(host.page.url) == "http://s.com/"
         assert guest.page.document.body.child_nodes[0].text_content == "v1!"
         session.close()
+
+    def test_typed_markup_stays_text_in_the_merged_textarea(self):
+        typed = "<img src='/img/5.png'> a &amp; b"
+        form = '<form action="/"><textarea name="notes"></textarea></form>'
+        sim, host, guest, intruder_host, session = hostile_session(form)
+        action = FormFillAction("form:0", {"notes": typed}).to_dict()
+        response = run_hostile(
+            sim, host, guest, session, post_action(intruder_host, session, action)
+        )
+        assert response.status == 200
+        assert session.agent.stats["actions_applied"] == 1
+        for browser in (host, guest):
+            document = browser.page.document
+            assert document.get_elements_by_tag_name("textarea")[0].text_content == typed
+            assert document.get_elements_by_tag_name("img") == []
+        session.close()
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            {"kind": "click", "ref": 5},
+            {"kind": "submit", "form_ref": 7, "fields": {}},
+            {"kind": "formfill", "form_ref": "form:0", "fields": {"notes": 5}},
+            # UTF-8 cannot encode it, so the host's form submission could not.
+            {"kind": "submit", "form_ref": "form:0", "fields": {"notes": "\ud800"}},
+        ],
+        ids=[
+            "click-number-ref",
+            "submit-number-form-ref",
+            "formfill-number-value",
+            "submit-lone-surrogate-value",
+        ],
+    )
+    def test_mistyped_action_is_a_counted_400(self, action):
+        """A reference that is not a string, or a field value that is not
+        text, is rejected with the poll, before the sender joins."""
+        form = '<form action="/"><textarea name="notes"></textarea></form>'
+        sim, host, guest, intruder_host, session = hostile_session(form)
+        response = run_hostile(
+            sim, host, guest, session, post_action(intruder_host, session, action)
+        )
+        assert (response.status, response.body) == (400, b"bad piggybacked actions")
+        assert session.agent.stats["bad_poll_bodies"] == 1
+        assert session.agent.roster() == ["p"]
+        assert guest.page.document.body.child_nodes[0].text_content == "v1!"
+        session.close()
+
+
+# -- fuzzing piggybacked action lists -----------------------------------------------------
+
+#: Characters whose digit, case or length behaviour differs from ASCII:
+#: '²' passes str.isdigit(), '١' is a digit int() reads, 'İ' lowercases
+#: to two characters and 'ſ' uppercases to 'S'.  A JSON string can also
+#: escape a lone surrogate, which UTF-8 cannot encode.
+UNUSUAL = "\u00b2\u0661\u0130\u017f"
+ACTION_ALPHABET = "aAq:0<>&'\" \ud800" + UNUSUAL
+#: References to the elements of FUZZ_PAGE, and near misses.
+REFERENCES = [
+    "a:0", "a:1", "form:0", "input:0", "textarea:0", "select:0", "button:0",
+    "a:", ":0", "a", "a:-1", "a:\u00b2", "a:\u0661", "\u0130:0", "a:" + "9" * 4301,
+]
+FIELD_NAMES = ["q", "notes", "pick", "\u017f", ""]
+#: The keys each action kind reads ("nope" is no kind).
+KIND_KEYS = {
+    "click": ["ref"],
+    "formfill": ["form_ref", "fields"],
+    "submit": ["form_ref", "fields"],
+    "mousemove": ["x", "y"],
+    "scroll": ["offset"],
+    "presence": ["participants"],
+    "nope": ["ref"],
+}
+FUZZ_PAGE = (
+    "<html><head><title>F</title></head><body>"
+    '<a href="/">home</a><a href="/missing">gone</a>'
+    '<form action="/" method="GET"><input type="text" name="q">'
+    '<textarea name="notes">n</textarea>'
+    '<select name="pick"><option value="1">one</option></select>'
+    "<button>go</button></form></body></html>"
+)
+
+
+def json_texts():
+    """JSON text of any type, nested a little or far past the decoder's
+    recursion limit."""
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),
+        st.text(alphabet=ACTION_ALPHABET, max_size=8),
+        st.sampled_from(REFERENCES),
+    ).map(json.dumps)
+    deep = st.sampled_from([30, 900, 100000]).map(lambda n: "[" * n + "]" * n)
+    return scalars | st.recursive(
+        scalars | deep,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3).map(lambda items: "[%s]" % ",".join(items)),
+            st.dictionaries(st.sampled_from(FIELD_NAMES), inner, max_size=3).map(
+                lambda d: "{%s}" % ",".join(json.dumps(k) + ":" + v for k, v in d.items())
+            ),
+        ),
+        max_leaves=4,
+    )
+
+
+def well_typed(key):
+    """A value of the type the snippet sends for ``key``."""
+    text = st.text(alphabet=ACTION_ALPHABET, max_size=8)
+    return {
+        "ref": st.sampled_from(REFERENCES),
+        "form_ref": st.sampled_from(REFERENCES),
+        "fields": st.dictionaries(st.sampled_from(FIELD_NAMES), text, max_size=3),
+        "x": st.integers(),
+        "y": st.integers(),
+        "offset": st.integers(),
+        "participants": st.lists(text, max_size=3),
+    }[key].map(json.dumps)
+
+
+def action_objects(kind):
+    """A ``kind`` action whose keys each hold a well-typed value or any
+    JSON text."""
+    values = {key: st.one_of(well_typed(key), json_texts()) for key in KIND_KEYS[kind]}
+    return st.fixed_dictionaries(values).map(
+        lambda fields: "{%s}"
+        % ",".join(
+            json.dumps(k) + ":" + v for k, v in [("kind", json.dumps(kind))] + list(fields.items())
+        )
+    )
+
+
+def action_lists():
+    """A list of actions, a list with stray JSON values among them, or
+    any JSON text."""
+    action = st.sampled_from(sorted(KIND_KEYS)).flatmap(action_objects)
+    return st.one_of(
+        action.map(lambda item: "[%s]" % item),
+        st.lists(action | json_texts(), max_size=3).map(lambda items: "[%s]" % ",".join(items)),
+        json_texts(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(action_lists())
+def test_fuzzed_action_lists_end_in_200_or_a_counted_400(actions):
+    """Whatever a participant piggybacks, the poll on a live page ends in
+    a 200 or in a 400 counted on ``bad_poll_bodies``."""
+    sim = Simulator()
+    network = Network(sim)
+    site = StaticSite("s.com")
+    site.add_page("/", FUZZ_PAGE)
+    OriginServer(network, "s.com", site.handle)
+    host = Browser(Host(network, "h-pc", LAN_PROFILE, segment="lan"), name="h")
+    agent = RCBAgent()
+    agent.install(host)
+    body = '{"participant": "mallory", "timestamp": 0, "actions": %s}' % actions
+
+    def scenario():
+        yield from host.navigate("http://s.com/")
+        if "[" * 500 in body:
+            gc.collect()  # no finalizer may run at the recursion limit
+        return (
+            yield from agent._poll_response(
+                HttpRequest("POST", "/poll", None, body.encode()), "x-pc"
+            )
+        )
+
+    response = run(sim, scenario())
+    assert response.status in (200, 400)
+    assert agent.stats["bad_poll_bodies"] == (response.status == 400)

@@ -9,7 +9,6 @@ from repro.metrics import (
     bar,
     render_figure_m1_m2,
     render_figure_m3_m4,
-    render_relay_summary,
     render_shape_checks,
     render_table1,
     render_trace_summary,
@@ -175,32 +174,6 @@ class TestReportRendering:
         non_cache = [row(m3=1.0, m4=None, cache=False)]
         text = render_table1(non_cache, [row()])
         assert "Distributions" not in text
-
-    def test_relay_summary_tier_percentile_columns(self):
-        summary = {
-            "members": 3,
-            "branching": 2,
-            "depth": 1,
-            "host_polls": 40,
-            "host_content_bytes": 1000,
-            "relay_content_bytes": 3000,
-            "tiers": {
-                1: {
-                    "nodes": 3,
-                    "polls": 40,
-                    "content_bytes": 4000,
-                    "mean_sync_seconds": 0.2,
-                    "sync_p50": 0.150,
-                    "sync_p95": 0.950,
-                    "sync_p99": 0.990,
-                }
-            },
-        }
-        text = render_relay_summary(summary)
-        assert "p50 (s)" in text and "p95 (s)" in text and "p99 (s)" in text
-        assert "0.150" in text
-        assert "0.950" in text
-        assert "0.990" in text
 
     def test_trace_summary_renders_tree_and_stage_percentiles(self):
         tracer = Tracer()

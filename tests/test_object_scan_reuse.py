@@ -97,16 +97,15 @@ class World:
 
 class Spy:
     """Counts discovery scans of each watched browser's current document
-    and its object requests, records every URL list each one fetched, in
-    fetch order, and the URLs whose last request loaded nothing.  The
-    Browser class stays patched until ``monkeypatch`` undoes it."""
+    and its object requests, and records every URL list each one
+    fetched, in fetch order.  The Browser class stays patched until
+    ``monkeypatch`` undoes it."""
 
     def __init__(self, browsers, monkeypatch):
         self.browsers = list(browsers)
         self.scans = {browser.name: 0 for browser in self.browsers}
         self.requests = {browser.name: 0 for browser in self.browsers}
         self.fetched = {browser.name: [] for browser in self.browsers}
-        self.lost = {browser.name: set() for browser in self.browsers}
         real_fetch_current = Browser.fetch_current_objects
         real_fetch_object = Browser._fetch_object
 
@@ -129,13 +128,7 @@ class Spy:
                 return (yield from real_fetch_object(browser, page, client, object_url))
             self.requests[browser.name] += 1
             self.fetched[browser.name][-1].append(object_url)
-            yield from real_fetch_object(browser, page, client, object_url)
-            # Each fetch starts the page's list afresh; a failed request
-            # (a 404, a dead host) adds nothing to it.
-            if any(loaded.url == object_url for loaded in page.objects):
-                self.lost[browser.name].discard(object_url)
-            else:
-                self.lost[browser.name].add(object_url)
+            return (yield from real_fetch_object(browser, page, client, object_url))
 
         monkeypatch.setattr(Browser, "discover_object_urls", staticmethod(discover))
         monkeypatch.setattr(Browser, "fetch_current_objects", fetch_current_objects)
@@ -384,8 +377,8 @@ def test_fetch_list_always_equals_a_fresh_scan(steps):
         spy = Spy([world.guest], monkeypatch)
         for tick, step in enumerate(steps, start=1):
             if step[0] == "fill":
-                # Typing markup into the textarea parses it into
-                # elements, so this edit can change the object list.
+                # Markup typed into the textarea stays text: the typed
+                # <img> names no object.
                 field = world.guest.page.document.get_element_by_id(step[1])
                 if field is not None:
                     world.guest.fill_field(field, step[2])
@@ -394,8 +387,5 @@ def test_fetch_list_always_equals_a_fresh_scan(steps):
             fresh = world.fresh_scan()
             if len(spy.fetched[world.guest.name]) > fetches:
                 assert spy.last_fetch(world.guest) == fresh
-            # Markup typed into the participant's textarea can reference
-            # an object its agent does not serve: that one stays lost.
-            lost = spy.lost[world.guest.name]
-            assert loaded_urls(world.guest) == sorted(url for url in fresh if url not in lost)
+            assert loaded_urls(world.guest) == sorted(fresh)
     assert world.snippet.last_doc_time == world.session.agent.doc_time

@@ -544,13 +544,16 @@ class TestConnectionSendv:
 class TestWireTemplates:
     def test_envelope_template_round_trips(self):
         _sim, _browser, agent = build_agent()
-        template = agent._ensure_generated("alice")
+        mode_key = agent.cache_policy.mode_key("alice")
+        plan = agent._full_plan("alice", mode_key)
+        template = plan.template
         assert isinstance(template, WireTemplate)
         joined = (
             b"".join(template.pre) + EMPTY_ACTIONS_WIRE + b"".join(template.post)
         )
         assert_reference_envelope(joined, [])
-        assert agent._wire_templates == {agent.cache_policy.mode_key("alice"): template}
+        assert agent._plans == {(0, mode_key): plan}
+        assert agent._full_plan("alice", mode_key) is plan
 
     def test_delta_template_matches_legacy_builder(self):
         ops_json = json.dumps([{"op": "text", "sec": "body", "path": [0], "data": "x"}])

@@ -1,8 +1,8 @@
-"""Unit tests for Store and Resource primitives."""
+"""Unit tests for the Store primitive."""
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Simulator, Store, StoreClosed, drain
+from repro.sim import Simulator, Store, StoreClosed
 
 
 def run(sim, generator):
@@ -90,15 +90,6 @@ def test_store_invalid_capacity():
         Store(sim, capacity=0)
 
 
-def test_try_get_nonblocking():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put("x")
-    assert store.try_get() == "x"
-    assert store.try_get() is None
-
-
 def test_closed_store_rejects_put():
     sim = Simulator()
     store = Store(sim)
@@ -143,87 +134,3 @@ def test_close_fails_blocked_getters():
     sim.process(closer())
     sim.run()
     assert results == ["closed"]
-
-
-def test_drain_returns_all_buffered():
-    sim = Simulator()
-    store = Store(sim)
-    for i in range(3):
-        store.put(i)
-    sim.run()
-    assert drain(store) == [0, 1, 2]
-    assert len(store) == 0
-
-
-def test_resource_serializes_users():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-    log = []
-
-    def user(tag, hold):
-        yield resource.request()
-        log.append((tag, "start", sim.now))
-        yield sim.timeout(hold)
-        resource.release()
-        log.append((tag, "end", sim.now))
-
-    sim.process(user("a", 2))
-    sim.process(user("b", 3))
-    sim.run()
-    assert log == [
-        ("a", "start", 0.0),
-        ("a", "end", 2.0),
-        ("b", "start", 2.0),
-        ("b", "end", 5.0),
-    ]
-
-
-def test_resource_capacity_two_overlaps():
-    sim = Simulator()
-    resource = Resource(sim, capacity=2)
-    starts = []
-
-    def user(tag):
-        yield resource.request()
-        starts.append((tag, sim.now))
-        yield sim.timeout(5)
-        resource.release()
-
-    for tag in ("a", "b", "c"):
-        sim.process(user(tag))
-    sim.run()
-    assert starts == [("a", 0.0), ("b", 0.0), ("c", 5.0)]
-
-
-def test_resource_release_without_request():
-    sim = Simulator()
-    resource = Resource(sim)
-    with pytest.raises(SimulationError):
-        resource.release()
-
-
-def test_resource_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_queued_count():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-
-    def holder():
-        yield resource.request()
-        yield sim.timeout(10)
-        resource.release()
-
-    def waiter():
-        yield resource.request()
-        resource.release()
-
-    sim.process(holder())
-    sim.process(waiter())
-    sim.run(until=5)
-    assert resource.queued() == 1
-    sim.run()
-    assert resource.queued() == 0

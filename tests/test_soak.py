@@ -60,7 +60,7 @@ class TestSoakSession:
         _testbed, session, _report = self.run_soak(seed=44, length=60)
         agent = session.agent
         # Only the current document state's envelopes are retained.
-        assert len(agent._wire_templates) <= 1
+        assert sum(1 for base, _mode in agent._plans if base == 0) <= 1
         for state in agent.participants.values():
             assert state.outbound_actions == []
         assert agent.pending_actions == []
