@@ -63,7 +63,7 @@ from .actions import (
 )
 from .cachepolicy import coerce_cache_policy
 from .content import AGENT_OBJECT_PATH, ContentGenerator
-from .delta import diff_trees
+from .delta import delta_instruments, diff_trees
 from .policy import ModerationPolicy, OpenPolicy, PendingAction
 from .security import Authenticator
 from .serveplan import BroadcastPlan, PlanFallback, merge_wire_bodies
@@ -102,19 +102,25 @@ _XML_CONTENT_TYPE = ("Content-Type", "application/xml; charset=utf-8")
 #: target that fails to load.  Each is counted on ``action_errors``.
 _ACTION_FAILURES = (ActionError, NavigationError, UrlError)
 
+#: Longest ``participant`` id a poll may name.  The id keys every
+#: per-member table and rides each roster and presence broadcast to
+#: every member, so it gets a limit of its own, far below the body cap.
+MAX_PARTICIPANT_ID_CHARS = 256
+
 
 def _well_formed_poll(payload) -> bool:
     """Whether a decoded poll body has the shape Ajax-Snippet sends: a
-    JSON object whose ``participant`` is a non-empty string,
-    ``timestamp`` a non-negative integer and ``actions`` a list, each
-    of them optional."""
+    JSON object whose ``participant`` is a non-empty string of at most
+    :data:`MAX_PARTICIPANT_ID_CHARS` characters, ``timestamp`` a
+    non-negative integer and ``actions`` a list, each of them
+    optional."""
     if type(payload) is not dict:
         return False
     participant = payload.get("participant", "-")
     timestamp = payload.get("timestamp", 0)
     return (
         type(participant) is str
-        and participant != ""
+        and 0 < len(participant) <= MAX_PARTICIPANT_ID_CHARS
         and type(timestamp) is int
         and timestamp >= 0
         and type(payload.get("actions", [])) is list
@@ -336,6 +342,26 @@ class RCBAgent(BrowserExtension):
             ),
             histograms=("generation_seconds",),
         )
+        # The instruments every poll updates, bound once: the serve path
+        # writes them directly instead of resolving each name per poll.
+        instrument = self.stats.instrument
+        self._polls = instrument("polls")
+        self._empty_responses = instrument("empty_responses")
+        self._content_responses = instrument("content_responses")
+        self._delta_responses = instrument("delta_responses")
+        self._full_responses = instrument("full_responses")
+        self._delta_bytes_sent = instrument("delta_bytes_sent")
+        self._full_bytes_sent = instrument("full_bytes_sent")
+        self._delta_bytes_saved = instrument("delta_bytes_saved")
+        self._serve_batched_polls = instrument("serve_batched_polls")
+        self._serve_amortization = instrument("serve_amortization")
+        self._wire_bytes_zero_copy = instrument("wire_bytes_zero_copy")
+        self._wire_bytes_copied = instrument("wire_bytes_copied")
+        self._held_polls_open = instrument("held_polls_open")
+        #: The diff's ``delta_diff_seconds`` / ``delta_diff_ops`` pair,
+        #: bound by the first diff (an agent that never diffs registers
+        #: neither, as before).
+        self._diff_instruments: Optional[tuple] = None
         #: Trace context per generated document state: serve spans for a
         #: doc_time parent under the span that produced that content
         #: (host: its generate span; relay: its upstream apply span).
@@ -630,7 +656,7 @@ class RCBAgent(BrowserExtension):
     def _poll_response(self, request: HttpRequest, client_name: str):
         if not self._authenticate(request):
             return HttpResponse(401, body=b"bad or missing hmac")
-        self.stats.inc("polls")
+        self._polls.value += 1
         arrived = self.browser.sim.now
 
         try:
@@ -717,7 +743,7 @@ class RCBAgent(BrowserExtension):
             if self.browser is None:
                 # Uninstalled while this exchange was parked (a dying
                 # relay): answer empty — the connection is dropping.
-                self.stats.inc("empty_responses")
+                self._empty_responses.value += 1
                 self._record_holds(holds, participant_id)
                 return self._with_transport(
                     self._respond(WirePlan(), None, participant_id, "empty"), advertise
@@ -733,19 +759,23 @@ class RCBAgent(BrowserExtension):
                 participant, their_time, force_full=self.always_resend
             )
             kind = "delta" if is_delta else "full"
-            context = self._serve_span(arrived, participant_id, is_delta, len(body), holds)
-            self._emit(
-                POLL_SERVED,
-                trace=context,
-                participant=participant_id,
-                kind=kind,
-                bytes=len(body),
-                doc_time=self._doc_time,
-            )
+            context = None
+            if self.tracer is not None:
+                context = self._serve_span(arrived, participant_id, is_delta, len(body), holds)
+            if self.events is not None:
+                self._emit(
+                    POLL_SERVED,
+                    trace=context,
+                    participant=participant_id,
+                    kind=kind,
+                    bytes=len(body),
+                    doc_time=self._doc_time,
+                )
             return self._with_transport(
                 self._respond(body, context, participant_id, kind), advertise
             )
-        self._record_holds(holds, participant_id)
+        if holds:
+            self._record_holds(holds, participant_id)
         if outbound:
             # Actions but no new content: the envelope without document
             # sections, through the same wire template as content.
@@ -756,7 +786,7 @@ class RCBAgent(BrowserExtension):
                 self._respond(body, None, participant_id, "actions"), advertise
             )
         # No new content: empty response to avoid hanging requests.
-        self.stats.inc("empty_responses")
+        self._empty_responses.value += 1
         return self._with_transport(
             self._respond(WirePlan(), None, participant_id, "empty"), advertise
         )
@@ -770,15 +800,19 @@ class RCBAgent(BrowserExtension):
         sim = self.browser.sim
         start = sim.now
         waiter = sim.event()
+        timer = sim.timeout(duration)
         self._change_waiters[waiter] = None
         participant.wake_events[waiter] = None
         self._held_open += 1
-        self.stats.set("held_polls_open", self._held_open)
+        self._held_polls_open.value = self._held_open
         try:
-            yield AnyOf(sim, [waiter, sim.timeout(duration)])
+            yield AnyOf(sim, [waiter, timer])
         finally:
+            # A hold released early withdraws its timer, which would
+            # otherwise sit in the event queue until the full duration.
+            timer.cancel()
             self._held_open -= 1
-            self.stats.set("held_polls_open", self._held_open)
+            self._held_polls_open.value = self._held_open
             # A document change or member wake clears only its own
             # table, a timeout neither: drop both registrations.
             self._change_waiters.pop(waiter, None)
@@ -833,17 +867,19 @@ class RCBAgent(BrowserExtension):
             return None
         self.stats.inc("push_envelopes_streamed", len(captured))
         body = merge_wire_bodies(captured)
-        total = len(body)
-        context = self._serve_span(arrived, participant_id, last_is_delta, total, holds)
-        self._emit(
-            POLL_SERVED,
-            trace=context,
-            participant=participant_id,
-            kind="push",
-            envelopes=len(captured),
-            bytes=total,
-            doc_time=self._doc_time,
-        )
+        context = None
+        if self.tracer is not None:
+            context = self._serve_span(arrived, participant_id, last_is_delta, len(body), holds)
+        if self.events is not None:
+            self._emit(
+                POLL_SERVED,
+                trace=context,
+                participant=participant_id,
+                kind="push",
+                envelopes=len(captured),
+                bytes=len(body),
+                doc_time=self._doc_time,
+            )
         return self._respond(body, context, participant_id, "push")
 
     @staticmethod
@@ -861,16 +897,15 @@ class RCBAgent(BrowserExtension):
         is_delta: bool,
         size: int,
         holds=(),
-    ) -> Optional[SpanContext]:
+    ) -> SpanContext:
         """Record the content-serving span for one poll exchange and
-        return its context (carried downstream in ``X-RCB-Trace``).
+        return its context (carried downstream in ``X-RCB-Trace``); the
+        caller checks that a tracer is attached.
         Spans the sim-time from poll arrival to response dispatch,
         parented under whichever span produced the content being sent.
         ``holds`` lists the exchange's parked ``(start, end)``
         stretches, recorded as ``transport.hold`` children so the serve
         span's *self* time is actual serving work, not the wait."""
-        if self.tracer is None:
-            return None
         span = self.tracer.start_span(
             self._span_prefix + ".serve",
             t=arrived,
@@ -1083,11 +1118,16 @@ class RCBAgent(BrowserExtension):
         new_tree = self._snapshot_tree(self._doc_time, mode_key)
         if old_tree is None or new_tree is None:
             return None
+        instruments = self._diff_instruments
+        if instruments is None:
+            instruments = self._diff_instruments = delta_instruments(
+                self.metrics, "diff", self._node_name()
+            )
         ops = diff_trees(
             old_tree,
             new_tree,
-            metrics=self.metrics,
-            node=self._node_name(),
+            seconds=instruments[0],
+            op_count=instruments[1],
             cache=self._snapshot_keys,
         )
         ops_json = json.dumps(ops, separators=(",", ":"))
@@ -1174,7 +1214,7 @@ class RCBAgent(BrowserExtension):
                 detail["full_bytes"] = entry.full_bytes
             self._emit(DELTA_FALLBACK, **detail)
             return None
-        self.stats.inc("delta_bytes_saved", full_plan.empty_len - entry.empty_len)
+        self._delta_bytes_saved.value += full_plan.empty_len - entry.empty_len
         return entry
 
     def _serve_body(
@@ -1201,21 +1241,19 @@ class RCBAgent(BrowserExtension):
             # single dict probe away (the common case for co-due polls).
             entry = self._plans.get((their_time, mode_key))
             if entry is not None and type(entry) is BroadcastPlan:
-                self.stats.inc("delta_bytes_saved", plan.empty_len - entry.empty_len)
+                self._delta_bytes_saved.value += plan.empty_len - entry.empty_len
                 plan = entry
             else:
                 delta = self._delta_plan(participant_id, their_time, mode_key, plan)
                 if delta is not None:
                     plan = delta
         if plan.serves:
-            self.stats.inc("serve_batched_polls")
+            self._serve_batched_polls.value += 1
             self._batched_polls_n += 1
         plan.serves += 1
         built = self._plans_built_n
         if built:
-            self.stats.set(
-                "serve_amortization", (self._batched_polls_n + built) / built
-            )
+            self._serve_amortization.value = (self._batched_polls_n + built) / built
         body = plan.personalize(self._actions_wire(actions) if actions else None)
         return body, plan.is_delta
 
@@ -1233,16 +1271,16 @@ class RCBAgent(BrowserExtension):
         )
         size = len(body)
         if is_delta:
-            self.stats.inc("delta_responses")
-            self.stats.inc("delta_bytes_sent", size)
+            self._delta_responses.value += 1
+            self._delta_bytes_sent.value += size
         else:
-            self.stats.inc("full_responses")
-            self.stats.inc("full_bytes_sent", size)
+            self._full_responses.value += 1
+            self._full_bytes_sent.value += size
         if self.generation_cost_per_kb > 0 and self._generation_count > generations_before:
             # Charge the device's CPU time for the generation run.
             yield self.browser.sim.timeout(self.generation_cost_per_kb * size / 1024.0)
         participant.content_responses += 1
-        self.stats.inc("content_responses")
+        self._content_responses.value += 1
         return body, is_delta
 
     def _actions_wire(self, actions: List[UserAction]) -> bytes:
@@ -1270,8 +1308,8 @@ class RCBAgent(BrowserExtension):
     ) -> HttpResponse:
         """Wrap a poll body in a 200, opening its cost record when
         attribution is on."""
-        self.stats.inc("wire_bytes_zero_copy", body.zero_copy_bytes)
-        self.stats.inc("wire_bytes_copied", body.copied_bytes)
+        self._wire_bytes_zero_copy.value += body.zero_copy_bytes
+        self._wire_bytes_copied.value += body.copied_bytes
         headers = Headers.preset(
             [_XML_CONTENT_TYPE, ("Content-Length", str(len(body)))]
         )

@@ -49,7 +49,7 @@ removals repeat at a fixed index, and insert indices are in final
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..html import Comment, Element, Text
 from ..html.dom import Node, _ParentNode
@@ -110,8 +110,8 @@ def _section(root: Element, name: str) -> Optional[Element]:
 def diff_trees(
     old_root: Element,
     new_root: Element,
-    metrics=None,
-    node: Optional[str] = None,
+    seconds=None,
+    op_count=None,
     stats: Optional[Dict[str, int]] = None,
     cache: Optional[SegmentCache] = None,
 ) -> List[Dict]:
@@ -132,14 +132,16 @@ def diff_trees(
     and a parent's key joins its children's cached strings.  Without
     one, the call uses a fresh cache of its own.
 
-    With ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`),
-    diff wall-time and op counts are published as ``delta_diff_seconds``
-    / ``delta_diff_ops``, labeled by ``node``.  With ``stats`` (a dict),
+    With ``seconds`` (a :class:`~repro.obs.registry.Histogram`) and
+    ``op_count`` (a :class:`~repro.obs.registry.Counter`), the diff's
+    wall time and op count are recorded on them; the agent binds its
+    ``delta_diff_seconds`` / ``delta_diff_ops`` pair once, so no diff
+    resolves an instrument by name.  With ``stats`` (a dict),
     ``visited`` (parent pairs descended into), ``skipped`` (subtrees
     short-circuited) and ``serialized`` (comparison keys computed) are
     accumulated into it.
     """
-    started = _time.perf_counter() if metrics is not None else 0.0
+    started = _time.perf_counter() if seconds is not None else 0.0
     if stats is not None:
         for key in ("visited", "skipped", "serialized"):
             stats.setdefault(key, 0)
@@ -166,12 +168,9 @@ def diff_trees(
         if ctx.same_subtree(old, el):
             continue
         _diff_children(old, el, el.tag, [], ops, ctx)
-    if metrics is not None:
-        labels = {"node": node} if node else {}
-        metrics.histogram("delta_diff_seconds", **labels).observe(
-            _time.perf_counter() - started
-        )
-        metrics.counter("delta_diff_ops", **labels).inc(len(ops))
+    if seconds is not None:
+        seconds.observe(_time.perf_counter() - started)
+        op_count.value += len(ops)
     return ops
 
 
@@ -399,13 +398,26 @@ def _diff_matched(
         _diff_children(old_node, new_node, sec, path, ops, ctx)
 
 
+def delta_instruments(metrics, stage: str, node: Optional[str]) -> Tuple:
+    """The ``delta_<stage>_seconds`` histogram and ``delta_<stage>_ops``
+    counter of ``node`` in ``metrics`` (stage ``diff`` or ``apply``):
+    what a caller binds once and hands to every :func:`diff_trees` or
+    :func:`apply_delta` call."""
+    labels = {"node": node} if node else {}
+    return (
+        metrics.histogram("delta_%s_seconds" % stage, **labels),
+        metrics.counter("delta_%s_ops" % stage, **labels),
+    )
+
+
 # -- apply -------------------------------------------------------------------------------
 
 
 def apply_delta(
     root: Element,
     ops: List[Dict],
-    metrics=None,
+    seconds=None,
+    op_count=None,
     node: Optional[str] = None,
     events=None,
     t: Optional[float] = None,
@@ -417,16 +429,19 @@ def apply_delta(
     record.  Callers treat that as "this participant needs a resync",
     not as a fatal condition.
 
-    With ``metrics``, apply wall-time and op counts are published as
-    ``delta_apply_seconds`` / ``delta_apply_ops``, labeled by ``node``.
-    With ``events`` (an :class:`~repro.obs.events.EventBus`) and ``t``
-    (the sim-time stamp), a failing op is recorded as a
-    ``delta.apply_failed`` event before the :class:`DeltaError` leaves
-    the engine — the black box then names the exact op that broke.
+    With ``seconds`` (a :class:`~repro.obs.registry.Histogram`) and
+    ``op_count`` (a :class:`~repro.obs.registry.Counter`), the apply's
+    wall time and op count are recorded on them: Ajax-Snippet binds its
+    ``delta_apply_seconds`` / ``delta_apply_ops`` pair once, so no apply
+    resolves an instrument by name.  With ``events`` (an
+    :class:`~repro.obs.events.EventBus`) and ``t`` (the sim-time stamp),
+    a failing op is recorded as a ``delta.apply_failed`` event, labeled
+    by ``node``, before the :class:`DeltaError` leaves the engine — the
+    black box then names the exact op that broke.
     """
     if not isinstance(ops, list):
         raise _apply_failure(events, t, node, "ops must be a list", None)
-    started = _time.perf_counter() if metrics is not None else 0.0
+    started = _time.perf_counter() if seconds is not None else 0.0
     applied = 0
     for op in ops:
         if not isinstance(op, dict):
@@ -442,12 +457,9 @@ def apply_delta(
         except DeltaError as exc:
             raise _apply_failure(events, t, node, str(exc), op)
         applied += 1
-    if metrics is not None:
-        labels = {"node": node} if node else {}
-        metrics.histogram("delta_apply_seconds", **labels).observe(
-            _time.perf_counter() - started
-        )
-        metrics.counter("delta_apply_ops", **labels).inc(applied)
+    if seconds is not None:
+        seconds.observe(_time.perf_counter() - started)
+        op_count.value += applied
     return applied
 
 

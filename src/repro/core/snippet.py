@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import deque
 from typing import Callable, List, Optional
 
 from ..browser.browser import Browser
@@ -49,7 +50,7 @@ from .actions import (
     decode_actions,
 )
 from .content import REF_ATTRIBUTE
-from .delta import DeltaError, apply_delta
+from .delta import DeltaError, apply_delta, delta_instruments
 from .security import Authenticator
 from .transport import TRANSPORT_HEADER, TRANSPORT_MODES, TRANSPORT_POLL, coerce_transport_mode
 from .xmlformat import EnvelopeError, NewContent, parse_envelope
@@ -66,6 +67,10 @@ _DATA_ONLY_OPS = frozenset(("text", "comment"))
 #: Every envelope opens with this declaration — the split marker for a
 #: streamed-push response carrying several envelopes back to back.
 _XML_DECL = "<?xml version='1.0' encoding='utf-8'?>"
+
+#: How many host-mirrored actions ``SnippetStats.actions_received``
+#: keeps, newest last: pointer mirroring sends one per host move.
+ACTIONS_RECEIVED_KEPT = 1024
 
 
 def _lift_snippet_script(document: Document) -> Optional[Element]:
@@ -153,21 +158,51 @@ class BackoffPolicy:
         )
 
 
+class _BoundCounter:
+    """A :class:`SnippetStats` attribute that reads and writes the value
+    of one registry instrument, bound when the stats object was built."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: str):
+        self.key = key
+
+    def __get__(self, stats, owner=None):
+        if stats is None:
+            return self
+        return stats._bound[self.key].value
+
+    def __set__(self, stats, value) -> None:
+        stats._bound[self.key].value = value
+
+
+class _BoundGauge(_BoundCounter):
+    """A bound gauge whose every assignment also feeds its histogram."""
+
+    __slots__ = ()
+
+    def __set__(self, stats, value) -> None:
+        stats._bound[self.key].value = value
+        stats._feeds[self.key].observe(value)
+
+
 class SnippetStats:
     """Counters and the paper's participant-side metrics.
 
-    Attribute names and read/write behaviour are unchanged from the old
-    plain-attribute class, but the values now live in registry
-    instruments (prefix ``snippet_``, labeled by participant node).
+    Plain attributes to read and assign (``stats.polls_sent += 1``),
+    each a class-level descriptor over a registry instrument (prefix
+    ``snippet_``, labeled by participant node) that the instance binds
+    once, when it is built.
     Counters: ``polls_sent``, ``empty_responses``, ``content_updates``,
     ``delta_updates`` (incremental <delta> applies), ``delta_failures``
     (forced full resyncs), ``action_only_updates``, ``actions_sent``,
     ``actions_rejected`` (unparseable userActions payloads, dropped),
-    ``connection_errors``.  Gauges: ``last_sync_seconds`` (M2, simulated
-    poll-exchange time), ``last_update_seconds`` (M6, wall-clock in-place
-    update), ``last_objects_seconds`` (M3/M4, simulated object
-    downloads).  Every gauge assignment also feeds a same-named
-    ``*_seconds`` histogram — the source of the report's p50/p95/p99.
+    ``connection_errors``, ``transport_switches``.  Gauges:
+    ``last_sync_seconds`` (M2, simulated poll-exchange time),
+    ``last_update_seconds`` (M6, wall-clock in-place update),
+    ``last_objects_seconds`` (M3/M4, simulated object downloads).  Every
+    gauge assignment also feeds a same-named ``*_seconds`` histogram —
+    the source of the report's p50/p95/p99.
     """
 
     _COUNTERS = (
@@ -199,9 +234,15 @@ class SnippetStats:
             gauges=self._GAUGES,
             histograms=tuple(self._DISTRIBUTIONS.values()),
         )
-        object.__setattr__(self, "_facade", facade)
-        #: Actions mirrored from the host, in arrival order (plain list).
-        object.__setattr__(self, "actions_received", [])
+        self._facade = facade
+        #: Counter/gauge key -> its instrument, and gauge key -> the
+        #: histogram each assignment feeds: what the descriptors update.
+        self._bound = {key: facade.instrument(key) for key in self._COUNTERS + self._GAUGES}
+        self._feeds = {
+            key: facade.histogram(feed) for key, feed in self._DISTRIBUTIONS.items()
+        }
+        #: The newest actions mirrored from the host, in arrival order.
+        self.actions_received = deque(maxlen=ACTIONS_RECEIVED_KEPT)
 
     @property
     def facade(self) -> StatsFacade:
@@ -212,21 +253,12 @@ class SnippetStats:
         """A latency histogram by unprefixed key (e.g. ``sync_seconds``)."""
         return self._facade.histogram(key)
 
-    def __getattr__(self, name):
-        facade = object.__getattribute__(self, "_facade")
-        if name in facade:
-            return facade[name]
-        raise AttributeError(name)
 
-    def __setattr__(self, name, value) -> None:
-        facade = self._facade
-        if name in facade:
-            facade.set(name, value)
-            distribution = self._DISTRIBUTIONS.get(name)
-            if distribution is not None:
-                facade.observe(distribution, value)
-        else:
-            object.__setattr__(self, name, value)
+for _key in SnippetStats._COUNTERS:
+    setattr(SnippetStats, _key, _BoundCounter(_key))
+for _key in SnippetStats._GAUGES:
+    setattr(SnippetStats, _key, _BoundGauge(_key))
+del _key
 
 
 class AjaxSnippet:
@@ -290,6 +322,10 @@ class AjaxSnippet:
 
         self.last_doc_time = 0
         self.stats = SnippetStats(self.metrics, node=self.participant_id)
+        #: The apply's ``delta_apply_seconds`` / ``delta_apply_ops``
+        #: pair, bound by the first delta (a member that never applies
+        #: one registers neither).
+        self._apply_instruments: Optional[tuple] = None
         #: Consecutive poll failures tolerated before giving up.
         self.max_poll_failures = 5
         self._consecutive_failures = 0
@@ -679,10 +715,16 @@ class AjaxSnippet:
         snippet_script = _lift_snippet_script(document)
         try:
             ops = json.loads(content.delta_ops_json)
+            instruments = self._apply_instruments
+            if instruments is None:
+                instruments = self._apply_instruments = delta_instruments(
+                    self.metrics, "apply", self.participant_id
+                )
             apply_delta(
                 html,
                 ops,
-                metrics=self.metrics,
+                seconds=instruments[0],
+                op_count=instruments[1],
                 node=self.participant_id,
                 events=self.events,
                 t=self.sim.now,

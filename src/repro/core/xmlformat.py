@@ -561,6 +561,10 @@ def parse_envelope(text: str) -> NewContent:
     if "<newContent>" not in text:
         raise EnvelopeError("not a newContent envelope")
     doc_time = _stamp(_extract(text, "docTime"), "missing or bad docTime")
+    if doc_time < 0:
+        # The agent refuses a poll reporting a negative timestamp: a
+        # member that adopted one could never poll again.
+        raise EnvelopeError("negative docTime")
 
     head_children: List[HeadChild] = []
     index = 1
@@ -612,12 +616,21 @@ def parse_envelope(text: str) -> NewContent:
 
 _STAMP_RE = re.compile(r"-?[0-9]+")
 
+#: Most significant digits a ``docTime``/``baseTime`` may carry: a
+#: millisecond stamp of 10**18 lies 31 million years out, and ``int``
+#: raises ValueError, not EnvelopeError, past 4300 digits.
+_MAX_STAMP_DIGITS = 18
+
 
 def _stamp(raw: Optional[str], problem: str) -> int:
     """A ``docTime``/``baseTime`` value: optional minus, ASCII digits
-    only (``str.isdigit`` would pass ``²``, which ``int`` rejects)."""
+    only (``str.isdigit`` would pass ``²``, which ``int`` rejects), at
+    most :data:`_MAX_STAMP_DIGITS` of them past leading zeros."""
     stamp = raw.strip() if raw is not None else ""
-    if _STAMP_RE.fullmatch(stamp) is None:
+    if (
+        _STAMP_RE.fullmatch(stamp) is None
+        or len(stamp.lstrip("-").lstrip("0")) > _MAX_STAMP_DIGITS
+    ):
         raise EnvelopeError(problem)
     return int(stamp)
 

@@ -41,17 +41,27 @@ class HttpError(Exception):
 
 
 class Headers:
-    """Case-insensitive, order-preserving header collection."""
+    """Case-insensitive, order-preserving header collection.
+
+    The ordered ``(name, value)`` pairs are what goes on the wire, in
+    insertion order and original spelling.  Beside them an index maps
+    each lowercased name to its first value, so ``get``, ``in``, ``set``
+    and ``remove`` are dict probes, not scans of every pair.
+    """
 
     def __init__(self, items: Optional[List[Tuple[str, str]]] = None):
         self._items: List[Tuple[str, str]] = []
+        #: Lowercased name -> the first value stored under it.
+        self._first: Dict[str, str] = {}
         if items:
             for name, value in items:
                 self.add(name, value)
 
     def add(self, name: str, value: str) -> None:
         """Append a header (duplicates allowed, e.g. Set-Cookie)."""
-        self._items.append((name, str(value)))
+        value = str(value)
+        self._items.append((name, value))
+        self._first.setdefault(name.lower(), value)
 
     def set(self, name: str, value: str) -> None:
         """Replace any existing values for ``name``."""
@@ -60,11 +70,7 @@ class Headers:
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """First value for ``name`` (case-insensitive), or ``default``."""
-        lowered = name.lower()
-        for key, value in self._items:
-            if key.lower() == lowered:
-                return value
-        return default
+        return self._first.get(name.lower(), default)
 
     def get_all(self, name: str) -> List[str]:
         """Every value for ``name``, in insertion order."""
@@ -74,10 +80,12 @@ class Headers:
     def remove(self, name: str) -> None:
         """Delete all values for ``name``."""
         lowered = name.lower()
-        self._items = [(k, v) for k, v in self._items if k.lower() != lowered]
+        if lowered in self._first:
+            del self._first[lowered]
+            self._items = [(k, v) for k, v in self._items if k.lower() != lowered]
 
     def __contains__(self, name: str) -> bool:
-        return self.get(name) is not None
+        return name.lower() in self._first
 
     def __iter__(self) -> Iterator[Tuple[str, str]]:
         return iter(self._items)
@@ -99,6 +107,9 @@ class Headers:
         build the same handful of headers per response."""
         headers = cls()
         headers._items = list(items)
+        first = headers._first
+        for name, value in items:
+            first.setdefault(name.lower(), value)
         return headers
 
     def wire_line_list(self) -> List[bytes]:

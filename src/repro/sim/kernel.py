@@ -152,8 +152,20 @@ class Timeout(Event):
         self.delay = delay
         # The value is applied when the event fires (see Simulator.step),
         # so `triggered` stays False until the simulated time is reached.
+        # None marks a cancelled timer.
         self._fire = (True, value)
         sim._schedule_event(self, delay=delay)
+
+    def cancel(self) -> None:
+        """Withdraw a timer that has not fired: it never fires, never
+        moves the clock, and drops its waiters' callbacks now, so nothing
+        it would have woken stays referenced until its time comes.  A
+        no-op once the timer fired or was cancelled."""
+        if self._value is not _PENDING or self._fire is None:
+            return
+        self._fire = None
+        self.callbacks = []
+        self.sim._note_cancelled()
 
 
 class Process(Event):
@@ -285,13 +297,22 @@ def AllOf(sim: "Simulator", events: Iterable[Event]) -> Condition:
     return Condition(sim, events, lambda events, count: count >= len(events))
 
 
+def _is_cancelled(event: Event) -> bool:
+    return event._value is _PENDING and getattr(event, "_fire", True) is None
+
+
 class Simulator:
-    """The event loop: a priority queue of (time, sequence, event)."""
+    """The event loop: a priority queue of (time, sequence, event).
+
+    A cancelled timer stays in the queue until it reaches the head or
+    the queue is compacted; every reader treats it as absent."""
 
     def __init__(self):
         self.now: float = 0.0
         self._queue: List = []
         self._sequence = itertools.count()
+        #: Cancelled timers still in ``_queue``.
+        self._cancelled = 0
 
     # -- event factories ---------------------------------------------------
 
@@ -312,12 +333,31 @@ class Simulator:
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         heapq.heappush(self._queue, (self.now + delay, next(self._sequence), event))
 
+    def _note_cancelled(self) -> None:
+        """Count one more cancelled timer; once they outnumber the live
+        entries, rebuild the queue without them.  (time, sequence) keys
+        are unique, so the rebuilt heap pops in the same order."""
+        self._cancelled += 1
+        queue = self._queue
+        if 2 * self._cancelled > len(queue):
+            queue[:] = [entry for entry in queue if not _is_cancelled(entry[2])]
+            heapq.heapify(queue)
+            self._cancelled = 0
+
     def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        """Time of the next scheduled event, or +inf if none (cancelled
+        timers at the head are dropped on the way)."""
+        queue = self._queue
+        if self._cancelled:
+            while queue and _is_cancelled(queue[0][2]):
+                heapq.heappop(queue)
+                self._cancelled -= 1
+        return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
-        """Process one event."""
+        """Process one event (cancelled timers are skipped unseen)."""
+        if self._cancelled:
+            self.peek()
         when, _seq, event = heapq.heappop(self._queue)
         self.now = when
         if event._value is _PENDING:
@@ -333,8 +373,11 @@ class Simulator:
         """Run until the queue drains or simulated time reaches ``until``."""
         if until is not None and until < self.now:
             raise ValueError("until (%r) is in the past (now=%r)" % (until, self.now))
-        while self._queue:
-            if until is not None and self.peek() > until:
+        while True:
+            when = self.peek()
+            if not self._queue:
+                break
+            if until is not None and when > until:
                 self.now = until
                 return
             self.step()
@@ -347,12 +390,13 @@ class Simulator:
         ``limit`` bounds simulated time to protect against livelock.
         """
         while not process.triggered:
+            when = self.peek()
             if not self._queue:
                 raise SimulationError(
                     "deadlock: no scheduled events but process %r is alive"
                     % (process.name,)
                 )
-            if self.peek() > limit:
+            if when > limit:
                 raise SimulationError(
                     "simulated time limit %r exceeded waiting for %r"
                     % (limit, process.name)

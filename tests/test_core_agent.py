@@ -20,6 +20,7 @@ from repro.core import (
     parse_envelope,
     sign_request_target,
 )
+from repro.core.agent import MAX_PARTICIPANT_ID_CHARS
 from repro.html import Text
 from repro.http import Headers, HttpClient, HttpRequest, HttpResponse
 from repro.net import LAN_PROFILE, Host, Network
@@ -490,6 +491,10 @@ MALFORMED_POLL_BODIES = {
     "participant-list": b'{"participant": ["p"], "timestamp": 0}',
     "participant-number": b'{"participant": 5, "timestamp": 0}',
     "participant-empty": b'{"participant": "", "timestamp": 0}',
+    "participant-too-long": json.dumps(
+        {"participant": "m" * (MAX_PARTICIPANT_ID_CHARS + 1), "timestamp": 0}
+    ).encode(),
+    "participant-100k": json.dumps({"participant": "m" * 100000, "timestamp": 0}).encode(),
     "actions-object": b'{"participant": "m", "timestamp": 0, "actions": {}}',
     "actions-null": b'{"participant": "m", "timestamp": 0, "actions": null}',
 }
@@ -569,11 +574,13 @@ class TestMalformedPollBodies:
 
     def test_well_formed_bodies_are_accepted(self):
         sim, host_browser, agent, _client = build_world()
+        longest = "g" * MAX_PARTICIPANT_ID_CHARS
         bodies = {
             "carol-pc": b"",
             "dave-pc": b"{}",
             "erin-pc": b'{"participant": "erin"}',
             "frank-pc": b'{"timestamp": 0, "actions": []}',
+            "gina-pc": json.dumps({"participant": longest}).encode(),
         }
 
         def scenario():
@@ -585,11 +592,13 @@ class TestMalformedPollBodies:
             return responses
 
         responses = run(sim, scenario())
-        assert [response.status for response in responses] == [200] * 4
+        assert [response.status for response in responses] == [200] * 5
         assert agent.stats["bad_poll_bodies"] == 0
-        assert agent.roster() == ["carol-pc", "dave-pc", "erin", "frank-pc"]
+        assert agent.roster() == ["carol-pc", "dave-pc", "erin", "frank-pc", longest]
 
-    @pytest.mark.parametrize("name", ["array", "timestamp-null", "participant-number"])
+    @pytest.mark.parametrize(
+        "name", ["array", "timestamp-null", "participant-number", "participant-100k"]
+    )
     def test_session_survives_and_the_honest_member_converges(self, name):
         sim = Simulator()
         network = Network(sim)

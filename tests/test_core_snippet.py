@@ -1,7 +1,11 @@
 """Unit tests for Ajax-Snippet details: update semantics, handlers,
 action queueing, presence, and hostile-input robustness."""
 
+import gc
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.browser import Browser
 from repro.browser.page import Page
@@ -18,6 +22,8 @@ from repro.core import (
     build_envelope,
     js_escape,
 )
+from repro.core.actions import encode_actions
+from repro.core.snippet import ACTIONS_RECEIVED_KEPT
 from repro.html import Element, Text, parse_document
 from repro.http import HttpResponse
 from repro.net import LAN_PROFILE, Host, Network, parse_url
@@ -274,6 +280,17 @@ class TestActionOnlyEnvelopes:
         assert second_pb.page.version == version_before
         assert second.stats.action_only_updates >= 1
 
+    def test_received_actions_keep_only_the_newest(self):
+        """``actions_received`` is bounded: after 2,000 mirrored pointer
+        moves in two envelopes it holds the newest 1,024, in order."""
+        _browser, snippet = offline_snippet()
+        moves = [MouseMoveAction(x, 0) for x in range(2000)]
+        snippet._deliver_actions(content(user_actions_json=encode_actions(moves[:1500])))
+        snippet._deliver_actions(content(user_actions_json=encode_actions(moves[1500:])))
+        kept = list(snippet.stats.actions_received)
+        assert len(kept) == ACTIONS_RECEIVED_KEPT == 1024
+        assert [action.x for action in kept] == list(range(2000 - 1024, 2000))
+
 
 def hostile_full(doc_time, body_json=None, doc_time_text=None, actions_json="[]"):
     """A full envelope whose docBody carries ``body_json`` raw, so it can
@@ -333,6 +350,29 @@ HOSTILE_BODIES = {
         lambda t: build_envelope(
             NewContent(t + 500, base_time=t, delta_ops_json="[]")
         ).replace("<baseTime>%d<" % t, "<baseTime>²<"),
+        "empty_responses",
+        False,
+    ),
+    # The envelope fuzzer's findings: a member that adopted docTime -1
+    # was refused every later poll (the agent rejects a negative
+    # timestamp), and a stamp past int()'s 4300 digits raised
+    # ValueError out of the poll loop.
+    "negative-doc-time": (
+        lambda t: build_envelope(NewContent(t + 500, base_time=t, delta_ops_json="[]")).replace(
+            "<docTime>%d<" % (t + 500), "<docTime>-1<"
+        ),
+        "empty_responses",
+        False,
+    ),
+    "doc-time-4301-digits": (
+        lambda t: hostile_full(t + 500, doc_time_text="9" * 4301),
+        "empty_responses",
+        False,
+    ),
+    "base-time-4301-digits": (
+        lambda t: build_envelope(
+            NewContent(t + 500, base_time=t, delta_ops_json="[]")
+        ).replace("<baseTime>%d<" % t, "<baseTime>%s<" % ("9" * 4301)),
         "empty_responses",
         False,
     ),
@@ -486,3 +526,187 @@ class TestHostileBodies:
         good = '[{"host": "s.com", "name": "a", "value": "b", "path": "/"}]'
         snippet._apply_replicated_cookies(content(cookies_json=good))
         assert browser.cookie_jar.get("s.com", "a") == "b"
+
+
+#: Characters that look like digits or letters to ``str`` methods but not
+#: to ``int`` or ASCII case folding, a lone surrogate, and markup.
+ENVELOPE_ALPHABET = "aA0 <>&'\"]%²١İſ\ud800"
+FUZZ_BODY = "<p>v1</p><ul><li>a</li><li>b</li></ul><!--c--><p>tail</p>"
+OP_KINDS = ["text", "comment", "attrs", "replace", "insert", "remove", "top", "drop", "nope"]
+OP_KEYS = ["op", "sec", "path", "data", "attrs", "node"]
+#: docTime / baseTime texts: "+500" and "=" stand for the member's synced
+#: doc_time plus 500 ms and the synced doc_time itself.
+DOC_TIMES = ["+500", "²", "١", "", "x", "-1", "9" * 4301, "+500²"]
+BASE_TIMES = ["=", "0", "-1", "²", "9" * 4301, None]
+
+
+def fuzz_text():
+    return st.text(alphabet=ENVELOPE_ALPHABET, max_size=6)
+
+
+def any_json():
+    """JSON text of any type (strings raw, unusual characters and lone
+    surrogates included), nested a little or far past the decoder's
+    recursion limit."""
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), fuzz_text()
+    ).map(lambda value: json.dumps(value, ensure_ascii=False))
+    deep = st.sampled_from([30, 900, 100000]).map(lambda n: "[" * n + "]" * n)
+    return scalars | deep | st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3).map(lambda items: "[%s]" % ",".join(items)),
+            st.dictionaries(st.sampled_from(OP_KEYS), inner, max_size=3).map(
+                lambda d: "{%s}" % ",".join(json.dumps(k) + ":" + v for k, v in d.items())
+            ),
+        ),
+        max_leaves=4,
+    )
+
+
+def well_typed_op_field(key):
+    text = fuzz_text()
+    node = st.fixed_dictionaries(
+        {
+            "t": st.sampled_from(["text", "comment", "element", "x"]),
+            "data": text,
+            "html": st.sampled_from(
+                ["<p>x</p>", "<b>", "", "<p>a</p><p>b</p>", "<img src='/i.png'>", "²"]
+            ),
+        }
+    )
+    return {
+        "op": st.sampled_from(OP_KINDS),
+        "sec": st.sampled_from(["head", "body", "frameset", "noframes", "nav"]),
+        "path": st.lists(st.integers(0, 3), max_size=3),
+        "data": text,
+        "attrs": st.lists(st.lists(text, min_size=2, max_size=2), max_size=2),
+        "node": node,
+    }[key].map(lambda value: json.dumps(value, ensure_ascii=False))
+
+
+def delta_ops():
+    """A list of ops, each key well-typed, any JSON or absent; a list
+    with stray values among the ops; or any JSON text."""
+    fields = {
+        key: st.one_of(well_typed_op_field(key), any_json(), st.none()) for key in OP_KEYS
+    }
+    op = st.fixed_dictionaries(fields).map(
+        lambda d: "{%s}" % ",".join(json.dumps(k) + ":" + v for k, v in d.items() if v is not None)
+    )
+    return st.one_of(
+        st.lists(op, max_size=3).map(lambda items: "[%s]" % ",".join(items)),
+        st.lists(op | any_json(), max_size=3).map(lambda items: "[%s]" % ",".join(items)),
+        any_json(),
+    )
+
+
+def user_actions():
+    return st.one_of(
+        st.just('[{"kind": "mousemove", "x": 3, "y": 4}]'),
+        st.just("[]"),
+        any_json(),
+    )
+
+
+def envelopes():
+    """The parts of one fuzzed envelope; :func:`assemble` writes it once
+    the member's synced doc_time is known."""
+    return st.fixed_dictionaries(
+        {
+            "doc_time": st.sampled_from(DOC_TIMES) | st.none(),
+            "base_time": st.sampled_from(BASE_TIMES),
+            "ops": delta_ops() | st.none(),
+            "actions": user_actions() | st.none(),
+            "escaped": st.booleans(),
+        }
+    )
+
+
+def assemble(parts, synced):
+    def stamp(text):
+        return {"+500": str(synced + 500), "=": str(synced)}.get(
+            text, text.replace("+500", str(synced + 500))
+        )
+
+    def cdata(payload):
+        return "<![CDATA[%s]]>" % (js_escape(payload) if parts["escaped"] else payload)
+
+    out = ["<?xml version='1.0' encoding='utf-8'?><newContent>"]
+    if parts["doc_time"] is not None:
+        out.append("<docTime>%s</docTime>" % stamp(parts["doc_time"]))
+    if parts["base_time"] is not None:
+        out.append("<baseTime>%s</baseTime>" % stamp(parts["base_time"]))
+    if parts["ops"] is not None:
+        out.append("<delta>%s</delta>" % cdata(parts["ops"]))
+    if parts["actions"] is not None:
+        out.append("<userActions>%s</userActions>" % cdata(parts["actions"]))
+    out.append("</newContent>")
+    return "".join(out)
+
+
+#: The counters that say how one envelope ended.
+OUTCOME_COUNTERS = (
+    "content_updates",
+    "action_only_updates",
+    "empty_responses",
+    "delta_failures",
+    "actions_rejected",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(envelopes())
+def test_fuzzed_envelopes_end_in_an_apply_or_a_counted_reject(parts):
+    """Whatever envelope a joined member receives, directly or through
+    its live poll loop, it ends in a clean apply or a reject counted on
+    ``empty_responses``, ``delta_failures`` or ``actions_rejected``; the
+    loop stays up, and the next host edit converges the member."""
+    sim = Simulator()
+    network = Network(sim)
+    site = StaticSite("s.com")
+    site.add_page("/", "<html><head><title>S</title></head><body>%s</body></html>" % FUZZ_BODY)
+    OriginServer(network, "s.com", site.handle)
+    host = Browser(Host(network, "h-pc", LAN_PROFILE, segment="lan"), name="h")
+    guest = Browser(Host(network, "p-pc", LAN_PROFILE, segment="lan"), name="p")
+    session = CoBrowsingSession(host, poll_interval=0.5, transport="poll")
+    injected = []
+
+    def scenario():
+        snippet = yield from session.join(guest)
+        yield from session.host_navigate("http://s.com/")
+        yield from session.wait_until_synced()
+        body = assemble(parts, snippet.last_doc_time)
+        if "[" * 500 in body:
+            gc.collect()  # no finalizer may run at the recursion limit
+        before = {key: getattr(snippet.stats, key) for key in OUTCOME_COUNTERS}
+        yield from snippet._process_response(body, sim.now)
+        moved = {key: getattr(snippet.stats, key) - before[key] for key in OUTCOME_COUNTERS}
+        client = guest.client
+        real_post = client.post
+
+        def hostile_post(*args, **kwargs):
+            response = yield from real_post(*args, **kwargs)
+            if not injected:
+                injected.append(True)
+                body = assemble(parts, snippet.last_doc_time)
+                return HttpResponse(200, body=body.encode("utf-8", "surrogatepass"))
+            return response
+
+        client.post = hostile_post
+        yield sim.timeout(2.0)  # the poll loop meets the same envelope
+        host.mutate_document(lambda doc: doc.body.child_nodes[0].append_child(Text("!")))
+        yield from session.wait_until_synced(timeout=10.0)
+        return snippet, moved
+
+    snippet, moved = sim.run_until_complete(sim.process(scenario()))
+    applied = moved["content_updates"] + moved["action_only_updates"]
+    rejected = moved["empty_responses"] + moved["delta_failures"]
+    assert (applied, rejected) in ((1, 0), (0, 1)), moved
+    # Actions are read from every envelope that parses, whatever its
+    # document section did.
+    assert moved["actions_rejected"] <= 1 - moved["empty_responses"]
+    assert injected and snippet._poll_proc is not None and snippet._poll_proc.is_alive
+    assert snippet.last_doc_time == session.agent.doc_time
+    assert guest.page.document.body.text_content == host.page.document.body.text_content
+    session.close()

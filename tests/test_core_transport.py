@@ -273,6 +273,29 @@ class TestHeldPollRegistrations:
             assert change_waiters <= held
             assert wake_events <= held
 
+    def test_released_holds_leave_no_timer_in_the_event_queue(self):
+        """A hold released early cancels its timer, so the kernel's queue
+        stays bounded by the members, not the edits: 16 long-poll
+        members over 200 edits (before, every release left its 25 s
+        timer queued: 3,232 entries by the last edit)."""
+        members = 16
+        sim, session, browsers = build_world(participants=members, transport=TRANSPORT_LONGPOLL)
+        lengths = []
+
+        def scenario():
+            for browser in browsers:
+                yield from session.join(browser)
+            yield from session.host_navigate("http://site.com/")
+            yield from session.wait_until_synced()
+            for tick in range(200):
+                edit_paragraph(session.host_browser, tick % 8, "edit %d" % tick)
+                yield from session.wait_until_synced()
+                lengths.append(len(sim._queue))
+
+        run(sim, scenario())
+        assert session.agent.stats["held_polls_open"] == members
+        assert max(lengths) <= 4 * members
+
 
 class _StubAgent:
     def __init__(self, poll_interval=1.0):

@@ -228,13 +228,22 @@ class TestEnvelope:
         with pytest.raises(EnvelopeError):
             TopElement("div", [], "")
 
-    @pytest.mark.parametrize("stamp", ["\u00b2", "1\u00b2", "\u0663", "--5", "+5", "1_0", ""])
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "\u00b2", "1\u00b2", "\u0663", "--5", "+5", "1_0", "", "-1",
+            pytest.param("9" * 19, id="19-digits"),
+            pytest.param("9" * 4301, id="4301-digits"),
+        ],
+    )
     def test_doc_time_must_be_ascii_digits(self, stamp):
         xml = build_envelope(NewContent(5)).replace("<docTime>5<", "<docTime>%s<" % stamp)
         with pytest.raises(EnvelopeError):
             parse_envelope(xml)
 
-    @pytest.mark.parametrize("stamp", ["\u00b2", "--5"])
+    @pytest.mark.parametrize(
+        "stamp", ["\u00b2", "--5", pytest.param("-" + "9" * 4301, id="4301-digits")]
+    )
     def test_base_time_must_be_ascii_digits(self, stamp):
         xml = build_envelope(NewContent(9, base_time=5, delta_ops_json="[]"))
         xml = xml.replace("<baseTime>5<", "<baseTime>%s<" % stamp)
@@ -245,6 +254,10 @@ class TestEnvelope:
         xml = build_envelope(NewContent(9, base_time=5, delta_ops_json="[]"))
         parsed = parse_envelope(xml.replace("<baseTime>5<", "<baseTime> -5 <"))
         assert parsed.base_time == -5
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        xml = build_envelope(NewContent(5)).replace("<docTime>5<", "<docTime>%s5<" % ("0" * 30))
+        assert parse_envelope(xml).doc_time == 5
 
     @pytest.mark.parametrize(
         "fields",

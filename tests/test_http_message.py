@@ -1,6 +1,7 @@
 """Unit tests for HTTP message types and form encoding."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.http import (
     Headers,
@@ -12,6 +13,7 @@ from repro.http import (
     quote,
     xml_response,
 )
+from tests.http_oracle import ReferenceHeaders
 
 
 class TestHeaders:
@@ -53,6 +55,55 @@ class TestHeaders:
     def test_iteration_preserves_order(self):
         pairs = [("B", "2"), ("A", "1"), ("C", "3")]
         assert list(Headers(pairs)) == pairs
+
+
+#: Header names in mixed case, including characters whose lowercase
+#: form differs in length (``İ``) or is not the ASCII letter (``ſ``).
+HEADER_NAMES = st.sampled_from(
+    ["Content-Length", "content-length", "CONTENT-LENGTH", "X-A", "x-a",
+     "Set-Cookie", "X-İd", "x-i̇d", "X-ſ", "X-s", "X-S", "Host"]
+)
+HEADER_VALUES = st.one_of(st.text(max_size=8), st.integers(-5, 5))
+HEADER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), HEADER_NAMES, HEADER_VALUES),
+        st.tuples(st.just("set"), HEADER_NAMES, HEADER_VALUES),
+        st.tuples(st.just("remove"), HEADER_NAMES),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    initial=st.lists(st.tuples(HEADER_NAMES, st.text(max_size=8)), max_size=6),
+    preset=st.booleans(),
+    ops=HEADER_OPS,
+)
+def test_indexed_headers_answer_as_the_frozen_scan(initial, preset, ops):
+    """After any add/set/remove/copy sequence, the indexed ``Headers``
+    answers every lookup, and serializes, exactly as the frozen
+    list-scanning class (``tests/http_oracle.py``)."""
+    make = Headers.preset if preset else Headers
+    make_reference = ReferenceHeaders.preset if preset else ReferenceHeaders
+    headers, reference = make(initial), make_reference(initial)
+    for op in ops:
+        if op[0] == "copy":
+            headers, reference = headers.copy(), reference.copy()
+        else:
+            getattr(headers, op[0])(*op[1:])
+            getattr(reference, op[0])(*op[1:])
+        assert list(headers) == list(reference)
+        assert len(headers) == len(reference)
+        for probe in ("X-A", "x-a", "Content-Length", "X-İd", "X-ſ", "x-s", "Absent"):
+            assert headers.get(probe) == reference.get(probe)
+            assert headers.get(probe, "dflt") == reference.get(probe, "dflt")
+            assert headers.get_all(probe) == reference.get_all(probe)
+            assert (probe in headers) == (probe in reference)
+    lines = [("%s: %s" % pair) for pair in reference]
+    if all(line.isascii() for line in lines):
+        assert headers.wire_lines() == "".join(line + "\r\n" for line in lines).encode()
 
 
 class TestHttpRequest:

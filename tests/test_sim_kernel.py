@@ -319,3 +319,98 @@ def test_nested_process_chain():
 
     assert sim.run_until_complete(sim.process(level(10))) == 11
     assert sim.now == 1.0
+
+
+class TestCancel:
+    """``Timeout.cancel`` withdraws a pending timer: it never fires and
+    never moves the clock, and the queue forgets it."""
+
+    def test_cancelled_timer_never_fires(self):
+        sim = Simulator()
+        fired = []
+        wake = sim.event()
+
+        def holder():
+            timer = sim.timeout(25.0)
+            timer.callbacks.append(lambda _event: fired.append("timer"))
+            try:
+                yield AnyOf(sim, [wake, timer])
+            finally:
+                timer.cancel()
+            return sim.now, timer
+
+        def waker():
+            yield sim.timeout(2.0)
+            wake.succeed()
+
+        proc = sim.process(holder())
+        sim.process(waker())
+        sim.run()
+        released_at, timer = proc.value
+        assert released_at == 2.0
+        assert sim.now == 2.0  # the 25 s entry never moved the clock
+        assert fired == [] and not timer.triggered
+        assert sim.peek() == float("inf") and sim._queue == []
+
+    def test_run_until_over_cancelled_entries_only(self):
+        sim = Simulator()
+        timers = [sim.timeout(delay) for delay in (1.0, 2.0, 3.0)]
+        for timer in timers:
+            timer.cancel()
+        sim.run(until=10.0)
+        assert sim.now == 10.0
+        assert sim.peek() == float("inf")
+        sim.run()  # nothing live: returns at once
+        assert sim.now == 10.0
+
+    def test_step_skips_a_cancelled_head(self):
+        sim = Simulator()
+        doomed = sim.timeout(1.0)
+        live = sim.timeout(2.0, value="live")
+        doomed.cancel()
+        sim.step()
+        assert sim.now == 2.0 and live.value == "live"
+        assert not doomed.triggered
+
+    def test_fifo_order_at_equal_times_is_unchanged(self):
+        sim = Simulator()
+        fired = []
+        timers = []
+        for tag in "abcdefghij":
+            timer = sim.timeout(1.0, value=tag)
+            timer.callbacks.append(lambda event: fired.append(event.value))
+            timers.append(timer)
+        # Cancel more than half, so the queue is also compacted.
+        for index in (1, 2, 4, 5, 7, 8):
+            timers[index].cancel()
+        assert len(sim._queue) == 4
+        sim.run()
+        assert fired == list("adgj")
+        assert sim.now == 1.0
+
+    def test_cancel_after_firing_is_a_no_op(self):
+        sim = Simulator()
+        timer = sim.timeout(1.0, value="v")
+        sim.run()
+        timer.cancel()
+        assert timer.value == "v" and timer.processed
+
+    def test_compaction_bounds_the_queue(self):
+        sim = Simulator()
+        live = sim.timeout(100.0)
+        for _ in range(1000):
+            sim.timeout(50.0).cancel()
+            assert len(sim._queue) <= 3
+        sim.run()
+        assert live.processed and sim.now == 100.0
+
+    def test_deadlock_detected_over_cancelled_entries(self):
+        sim = Simulator()
+
+        def stuck():
+            timer = sim.timeout(5.0)
+            timer.cancel()
+            yield sim.event()
+
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run_until_complete(sim.process(stuck()))
