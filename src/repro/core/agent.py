@@ -68,7 +68,6 @@ from .policy import ModerationPolicy, OpenPolicy, PendingAction
 from .security import Authenticator
 from .serveplan import BroadcastPlan, PlanFallback, merge_wire_bodies
 from .transport import (
-    MODE_INDEX,
     TRANSPORT_HEADER,
     TRANSPORT_MODES,
     TRANSPORT_POLL,
@@ -199,7 +198,8 @@ class RCBAgent(BrowserExtension):
         self._member_transports: Dict[str, Transport] = {}
         #: Shared default-parameter instances for client-requested modes.
         self._mode_transports: Dict[str, Transport] = {}
-        #: Last mode reported to the per-member ``transport_mode`` gauge.
+        #: The mode last granted to each member in negotiation (what
+        #: :meth:`transport_mode_for` reports without an override).
         self._member_mode_seen: Dict[str, str] = {}
         self._held_open = 0
         #: Ablation: disable the timestamp protocol and resend the full
@@ -472,7 +472,6 @@ class RCBAgent(BrowserExtension):
         self._member_transports[participant_id] = transport
         if transport.mode != previous:
             self.stats.inc("transport_switches")
-            self._note_member_mode(participant_id, transport.mode)
             self._emit(
                 TRANSPORT_SWITCH,
                 participant=participant_id,
@@ -488,7 +487,7 @@ class RCBAgent(BrowserExtension):
     def _granted_transport(self, participant_id: str, requested) -> Transport:
         """Negotiate one poll's transport: a member override outranks
         the client's requested mode, which outranks the agent default.
-        Also keeps the per-member ``transport_mode`` gauge current."""
+        Remembers the grant for :meth:`transport_mode_for`."""
         override = self._member_transports.get(participant_id)
         if override is not None:
             granted = override
@@ -496,7 +495,7 @@ class RCBAgent(BrowserExtension):
             granted = self._shared_mode_transport(requested)
         else:
             granted = self.transport
-        self._note_member_mode(participant_id, granted.mode)
+        self._member_mode_seen[participant_id] = granted.mode
         return granted
 
     def _shared_mode_transport(self, mode: str) -> Transport:
@@ -504,14 +503,6 @@ class RCBAgent(BrowserExtension):
         if transport is None:
             transport = self._mode_transports[mode] = transport_for_mode(mode)
         return transport
-
-    def _note_member_mode(self, participant_id: str, mode: str) -> None:
-        if self._member_mode_seen.get(participant_id) == mode:
-            return
-        self._member_mode_seen[participant_id] = mode
-        self.metrics.gauge(
-            "agent_transport_mode", node=participant_id
-        ).set(MODE_INDEX[mode])
 
     def _wake_member(self, state: ParticipantState) -> None:
         """Release a member's held poll early (queued outbound actions,
@@ -657,7 +648,8 @@ class RCBAgent(BrowserExtension):
         if not self._authenticate(request):
             return HttpResponse(401, body=b"bad or missing hmac")
         self._polls.value += 1
-        arrived = self.browser.sim.now
+        sim = self.browser.sim
+        arrived = sim.now
 
         try:
             payload = json.loads(request.body.decode("utf-8") or "{}")
@@ -681,7 +673,7 @@ class RCBAgent(BrowserExtension):
         participant_id = payload.get("participant", client_name)
         participant = self._participant(participant_id)
         participant.polls += 1
-        participant.last_poll_at = self.browser.sim.now
+        participant.last_poll_at = arrived
         their_time = payload.get("timestamp", 0)
 
         # Piggybacked telemetry digest: ingest before the hold/serve
@@ -690,7 +682,7 @@ class RCBAgent(BrowserExtension):
         if self.telemetry is not None:
             reported_digest = payload.get("telemetry")
             if reported_digest is not None:
-                self.telemetry.ingest(reported_digest, t=self.browser.sim.now)
+                self.telemetry.ingest(reported_digest, t=arrived)
 
         # Step 1: data merging — piggybacked participant actions.
         for action in actions:
@@ -704,7 +696,6 @@ class RCBAgent(BrowserExtension):
         requested = payload.get("transport")
         reported = requested if requested in TRANSPORT_MODES else TRANSPORT_POLL
         granted = self._granted_transport(participant_id, requested)
-        advertise = granted.mode if granted.mode != reported else None
         #: Parked stretches of this exchange, recorded as
         #: ``transport.hold`` spans so serve self-time excludes them.
         holds: List[tuple] = []
@@ -715,81 +706,99 @@ class RCBAgent(BrowserExtension):
         # precisely to get that immediate ack.
         outbound = participant.outbound_actions
         if granted.holds and self._doc_time <= their_time and not outbound and not actions:
-            if granted.max_envelopes > 1:
-                # Streamed push: hold and ship every envelope the hold
-                # window produces in one multi-envelope response.
-                response = yield from self._stream_push(
-                    participant, their_time, granted, arrived
-                )
-                # A controller switch may have landed while the stream
-                # was parked: advertise the *current* grant.
-                granted = self._granted_transport(participant_id, requested)
-                advertise = granted.mode if granted.mode != reported else None
-                if response is not None:
-                    return self._with_transport(response, advertise)
-            else:
-                # Long poll ("hanging request"): wait for a change, a
-                # queued outbound action, a transport switch, or the
-                # hold timeout, then fall through to the ordinary serve
-                # branches — a released hold joins the current tick's
-                # broadcast plan like any co-due poll.
-                held = yield from self._hold_for_change(
-                    participant, granted.hold_timeout
-                )
-                holds.append(held)
+            # Long poll or push ("hanging request"): wait for a change, a
+            # queued outbound action, a transport switch, or the hold
+            # timeout, then take the ordinary serve branches — a released
+            # hold joins the current tick's broadcast plan like any
+            # co-due poll.  An agent uninstalled meanwhile (a dying
+            # relay) serves no content: the connection is dropping.
+            holds.append((yield from self._hold_for_change(participant, granted.hold_timeout)))
             outbound = participant.outbound_actions
-            granted = self._granted_transport(participant_id, requested)
-            advertise = granted.mode if granted.mode != reported else None
-            if self.browser is None:
-                # Uninstalled while this exchange was parked (a dying
-                # relay): answer empty — the connection is dropping.
-                self._empty_responses.value += 1
-                self._record_holds(holds, participant_id)
-                return self._with_transport(
-                    self._respond(WirePlan(), None, participant_id, "empty"), advertise
-                )
-        if self.browser.page is not None and (
+        response = None
+        if self.browser is not None and self.browser.page is not None and (
             self.always_resend or self._doc_time > their_time
         ):
             # Step 3: response sending, with new content — a delta
             # envelope when this participant's acknowledged state is
             # still in the snapshot ring, the full envelope otherwise
             # (always, under the always-resend ablation).
+            base = self._doc_time
             body, is_delta = yield from self._serve_content(
                 participant, their_time, force_full=self.always_resend
             )
             kind = "delta" if is_delta else "full"
-            context = None
-            if self.tracer is not None:
-                context = self._serve_span(arrived, participant_id, is_delta, len(body), holds)
-            if self.events is not None:
-                self._emit(
-                    POLL_SERVED,
-                    trace=context,
-                    participant=participant_id,
-                    kind=kind,
-                    bytes=len(body),
-                    doc_time=self._doc_time,
+            if holds and granted.max_envelopes > 1:
+                # Streamed push: linger for follow-up changes and ship
+                # each as one more envelope of this response (the
+                # snippet splits on the XML declaration), a delta from
+                # the envelope before it — ``base`` is the state the
+                # last envelope was generated for, read before its
+                # generation CPU yields.  The linger is one window of
+                # ``stream_linger`` after the first envelope, inside the
+                # hold; the stream also ends at the envelope cap, at a
+                # queued outbound action (it rides the next response)
+                # and at a wake without a change, such as a switch.
+                kind = "push"
+                bodies = [body]
+                deadline = min(
+                    holds[0][0] + granted.hold_timeout, sim.now + granted.stream_linger
                 )
-            return self._with_transport(
-                self._respond(body, context, participant_id, kind), advertise
-            )
+                while len(bodies) < granted.max_envelopes and not participant.outbound_actions:
+                    remaining = deadline - sim.now
+                    if remaining <= 1e-9 or self.browser is None:
+                        break
+                    holds.append((yield from self._hold_for_change(participant, remaining)))
+                    if self.browser is None or self._doc_time <= base:
+                        break
+                    served_time = self._doc_time
+                    body, is_delta = yield from self._serve_content(
+                        participant, base, force_full=self.always_resend
+                    )
+                    bodies.append(body)
+                    base = served_time
+                body = merge_wire_bodies(bodies)
+            if self.browser is not None:
+                if kind == "push":
+                    self.stats.inc("push_envelopes_streamed", len(bodies))
+                context = None
+                if self.tracer is not None:
+                    context = self._serve_span(
+                        arrived, participant_id, is_delta, len(body), holds
+                    )
+                if self.events is not None:
+                    stream = {"envelopes": len(bodies)} if kind == "push" else {}
+                    self._emit(
+                        POLL_SERVED,
+                        trace=context,
+                        participant=participant_id,
+                        kind=kind,
+                        bytes=len(body),
+                        doc_time=self._doc_time,
+                        **stream,
+                    )
+                response = self._respond(body, context, participant_id, kind)
+        if response is None:
+            if holds:
+                self._record_holds(holds, participant_id)
+            if outbound:
+                # Actions but no new content: the envelope without
+                # document sections, through the same wire template as
+                # content.
+                participant.outbound_actions = []
+                plan = BroadcastPlan(wire_envelope_template(self._doc_time, [], []))
+                body = plan.personalize(self._actions_wire(outbound))
+                response = self._respond(body, None, participant_id, "actions")
+            else:
+                # No new content: empty response to avoid hanging requests.
+                self._empty_responses.value += 1
+                response = self._respond(WirePlan(), None, participant_id, "empty")
         if holds:
-            self._record_holds(holds, participant_id)
-        if outbound:
-            # Actions but no new content: the envelope without document
-            # sections, through the same wire template as content.
-            participant.outbound_actions = []
-            plan = BroadcastPlan(wire_envelope_template(self._doc_time, [], []))
-            body = plan.personalize(self._actions_wire(outbound))
-            return self._with_transport(
-                self._respond(body, None, participant_id, "actions"), advertise
-            )
-        # No new content: empty response to avoid hanging requests.
-        self._empty_responses.value += 1
-        return self._with_transport(
-            self._respond(WirePlan(), None, participant_id, "empty"), advertise
-        )
+            # A switch may have landed while this exchange was parked or
+            # lingering: advertise the grant in force now.
+            granted = self._granted_transport(participant_id, requested)
+        if granted.mode != reported:
+            response.headers.set(TRANSPORT_HEADER, granted.mode)
+        return response
 
     def _hold_for_change(self, participant: ParticipantState, duration: float):
         """Hang one poll until a document change, a per-member wake
@@ -818,77 +827,6 @@ class RCBAgent(BrowserExtension):
             self._change_waiters.pop(waiter, None)
             participant.wake_events.pop(waiter, None)
         return (start, sim.now)
-
-    def _stream_push(self, participant, their_time, transport, arrived):
-        """Streamed push: hold the connection and capture an envelope on
-        *each* document change, shipping several back to back in one
-        response (the snippet splits on the XML declaration).  Each
-        captured envelope is a delta against the previous one and joins
-        that tick's broadcast plan, so co-due streams share diffs and
-        serialized bodies exactly like released long polls.
-
-        Generator; returns the merged :class:`HttpResponse`, or None
-        when the hold window closed with nothing captured (the caller
-        falls through to the action-only / empty branches).
-        """
-        sim = self.browser.sim
-        participant_id = participant.participant_id
-        base = their_time
-        captured = []
-        holds: List[tuple] = []
-        last_is_delta = False
-        deadline = sim.now + transport.hold_timeout
-        while True:
-            if self.browser is None:
-                # Uninstalled mid-stream (a dying relay): stop capturing;
-                # the connection underneath is dropping anyway.
-                return None
-            if self._doc_time > base and self.browser.page is not None:
-                body, last_is_delta = yield from self._serve_content(participant, base)
-                captured.append(body)
-                base = self._doc_time
-                if len(captured) >= transport.max_envelopes:
-                    break
-                # Linger briefly for a follow-up change to batch, but
-                # never past the hold deadline.
-                deadline = min(deadline, sim.now + transport.stream_linger)
-                continue
-            if participant.outbound_actions:
-                # Actions can't ride a held stream mid-flight; release
-                # so the ordinary branches deliver them.
-                break
-            remaining = deadline - sim.now
-            if remaining <= 1e-9:
-                break
-            held = yield from self._hold_for_change(participant, remaining)
-            holds.append(held)
-        if not captured or self.browser is None:
-            self._record_holds(holds, participant_id)
-            return None
-        self.stats.inc("push_envelopes_streamed", len(captured))
-        body = merge_wire_bodies(captured)
-        context = None
-        if self.tracer is not None:
-            context = self._serve_span(arrived, participant_id, last_is_delta, len(body), holds)
-        if self.events is not None:
-            self._emit(
-                POLL_SERVED,
-                trace=context,
-                participant=participant_id,
-                kind="push",
-                envelopes=len(captured),
-                bytes=len(body),
-                doc_time=self._doc_time,
-            )
-        return self._respond(body, context, participant_id, "push")
-
-    @staticmethod
-    def _with_transport(response: HttpResponse, advertise: Optional[str]) -> HttpResponse:
-        """Stamp the granted mode on a response when it differs from
-        what the client reported; otherwise leave the wire untouched."""
-        if advertise is not None:
-            response.headers.set(TRANSPORT_HEADER, advertise)
-        return response
 
     def _serve_span(
         self,

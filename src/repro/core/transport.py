@@ -18,12 +18,12 @@ This module makes it one:
   expires), then released *into that tick's broadcast plan*.  Staleness
   collapses to the network round trip; request rate tracks the change
   rate.
-* :class:`PushTransport` — streamed multi-envelope push: a held
-  connection ships up to ``max_envelopes`` consecutive envelopes
-  (chained deltas, each joining its tick's broadcast plan) before
-  releasing, lingering ``stream_linger`` after each capture to batch
-  rapid edits.  Coherence stays near long-poll while request rate drops
-  by the achieved batch factor.
+* :class:`PushTransport` — streamed multi-envelope push: a held poll
+  released by a change lingers ``stream_linger`` for follow-up changes
+  and ships up to ``max_envelopes`` consecutive envelopes in one
+  response (chained deltas, each joining its tick's broadcast plan).
+  Coherence stays near long-poll while request rate drops by the
+  achieved batch factor.
 
 Negotiation is per member and wire-compatible with the seed protocol:
 a client requesting a non-default mode adds a ``"transport"`` key to
@@ -38,7 +38,7 @@ poll → long-poll → push, while sustained host serve pressure (poll
 arrival rate above budget) de-escalates held members and widens the
 poll interval.  Dwell-window hysteresis keeps members from flapping;
 every switch emits a ``transport.switch`` event and feeds the
-``transport_switches`` counter and per-member ``transport_mode`` gauge.
+``transport_switches`` counter.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ TRANSPORT_PUSH = "push"
 #: Escalation order: coherence improves left to right.
 TRANSPORT_MODES: Tuple[str, ...] = (TRANSPORT_POLL, TRANSPORT_LONGPOLL, TRANSPORT_PUSH)
 
-#: Mode -> ladder index, the value the per-member ``transport_mode``
-#: gauge reports (0 poll, 1 longpoll, 2 push).
+#: Mode -> ladder index (0 poll, 1 longpoll, 2 push).
 MODE_INDEX: Dict[str, int] = {mode: index for index, mode in enumerate(TRANSPORT_MODES)}
 
 #: Response header carrying the granted mode — sent only when it
@@ -230,10 +229,10 @@ class AdaptiveTransportController:
     member is pinned for ``dwell`` seconds, so a noisy signal cannot
     flap the mode.  Switches go through
     :meth:`~repro.core.agent.RCBAgent.set_member_transport`, which
-    emits ``transport.switch`` on the event bus and maintains the
-    ``transport_switches`` counter and ``transport_mode`` gauges; the
-    member itself learns the new mode from the ``X-RCB-Transport``
-    header on its next poll exchange.
+    emits ``transport.switch`` on the event bus, counts it on
+    ``transport_switches`` and wakes the member's parked poll; the
+    member learns the new mode from the ``X-RCB-Transport`` header on
+    that response.
     """
 
     def __init__(

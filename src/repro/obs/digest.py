@@ -52,6 +52,31 @@ DIGEST_VERSION = 1
 #: Member id of a fold-under-cap aggregate record.
 FOLDED_ID = "*"
 
+#: Highest sketch bucket: bucket ``b`` holds ``[2**(b-1), 2**b)``, so 64
+#: covers the 64-bit value range.
+MAX_BUCKET = 64
+
+#: Every integer a digest record carries (a count, a sum, a sample bound)
+#: lies in ``[0, 2**64)``: the rollups convert them to floats.
+_INT_LIMIT = 2**64
+
+
+def _count(value, what: str) -> int:
+    """``value`` when it is a JSON integer in ``[0, 2**64)`` (a bool or a
+    float is not); ValueError otherwise."""
+    if type(value) is not int or not 0 <= value < _INT_LIMIT:
+        raise ValueError("%s must be an integer in [0, 2**64)" % what)
+    return value
+
+
+def _object(record: dict, key: str) -> dict:
+    """The JSON object under ``key`` (empty when absent); ValueError
+    for any other value."""
+    value = record.get(key, {})
+    if type(value) is not dict:
+        raise ValueError("%s must be an object" % key)
+    return value
+
 
 def encoded_bytes(blob) -> int:
     """The compact-JSON size of a digest blob — the byte-cap currency
@@ -127,7 +152,10 @@ class LogBucketSketch:
                 if self.max_value is not None:
                     estimate = min(estimate, float(self.max_value))
                 return estimate
-        return float(self.max_value or 0)  # pragma: no cover - unreachable
+        # Ranks past the bucketed samples belong to samples merged from
+        # bucket-less records (the deepest fold level): the exact max
+        # bounds them.
+        return float(self.max_value or 0)
 
     @property
     def mean(self) -> float:
@@ -136,7 +164,9 @@ class LogBucketSketch:
     def to_dict(self, include_buckets: bool = True) -> Optional[Dict[str, object]]:
         """The wire record, or None when empty.  ``include_buckets=False``
         is the deepest fold level: exact count/sum/min/max survive, the
-        distribution does not."""
+        distribution does not.  Buckets ride only when they hold every
+        sample, so a record's bucket counts always sum to its ``n``: a
+        sketch that merged a bucket-less record ships bucket-less too."""
         if self.count == 0:
             return None
         record: Dict[str, object] = {
@@ -145,23 +175,41 @@ class LogBucketSketch:
             "lo": self.min_value,
             "hi": self.max_value,
         }
-        if include_buckets:
+        if include_buckets and sum(self.buckets.values()) == self.count:
             record["b"] = [[b, self.buckets[b]] for b in sorted(self.buckets)]
         return record
 
     @classmethod
     def from_dict(cls, record) -> "LogBucketSketch":
+        """Decode a wire record (anything but an object decodes empty).
+        Raises ValueError unless ``n``, ``s``, ``lo`` and ``hi`` are
+        integers in ``[0, 2**64)`` (``lo``/``hi`` may be null) and ``b``,
+        when present, is a list of ``[index, count]`` pairs with index
+        0–:data:`MAX_BUCKET` whose counts sum to ``n``."""
         sketch = cls()
         if not isinstance(record, dict):
             return sketch
-        sketch.count = int(record.get("n", 0))
-        sketch.total = int(record.get("s", 0))
+        sketch.count = _count(record.get("n", 0), "sketch n")
+        sketch.total = _count(record.get("s", 0), "sketch s")
         lo, hi = record.get("lo"), record.get("hi")
-        sketch.min_value = int(lo) if lo is not None else None
-        sketch.max_value = int(hi) if hi is not None else None
-        for pair in record.get("b") or []:
-            bucket, count = int(pair[0]), int(pair[1])
-            sketch.buckets[bucket] = sketch.buckets.get(bucket, 0) + count
+        sketch.min_value = None if lo is None else _count(lo, "sketch lo")
+        sketch.max_value = None if hi is None else _count(hi, "sketch hi")
+        pairs = record.get("b")
+        if pairs is None:
+            return sketch
+        if type(pairs) is not list:
+            raise ValueError("sketch b must be a list")
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2:
+                raise ValueError("a sketch bucket is an [index, count] pair")
+            bucket = _count(pair[0], "bucket index")
+            if bucket > MAX_BUCKET:
+                raise ValueError("bucket index above %d" % MAX_BUCKET)
+            sketch.buckets[bucket] = sketch.buckets.get(bucket, 0) + _count(
+                pair[1], "bucket count"
+            )
+        if sum(sketch.buckets.values()) != sketch.count:
+            raise ValueError("bucket counts must sum to the sketch's n")
         return sketch
 
     def copy(self) -> "LogBucketSketch":
@@ -263,13 +311,23 @@ class MemberDelta:
 
     @classmethod
     def from_dict(cls, record) -> "MemberDelta":
-        if not isinstance(record, dict) or "id" not in record:
-            raise ValueError("malformed member delta record")
-        delta = cls(str(record["id"]), weight=int(record.get("w", 1)))
-        for key, value in (record.get("c") or {}).items():
-            delta.counters[str(key)] = int(value)
-        for mode, count in (record.get("m") or {}).items():
-            delta.mode_polls[str(mode)] = int(count)
+        """Decode a wire record.  Raises ValueError unless ``id`` is a
+        non-empty string, ``w`` a count, ``c`` an object of
+        :attr:`COUNTERS` names to counts, ``m`` an object of mode names
+        to counts, and ``a`` and ``s`` decode as sketches (a count is an
+        integer in ``[0, 2**64)``)."""
+        if not isinstance(record, dict):
+            raise ValueError("member delta record must be an object")
+        member_id = record.get("id")
+        if type(member_id) is not str or not member_id:
+            raise ValueError("member delta id must be a non-empty string")
+        delta = cls(member_id, weight=_count(record.get("w", 1), "weight"))
+        for key, value in _object(record, "c").items():
+            if key not in delta.counters:
+                raise ValueError("unknown counter %r" % key)
+            delta.counters[key] = _count(value, key)
+        for mode, count in _object(record, "m").items():
+            delta.mode_polls[mode] = _count(count, "mode polls")
         if "a" in record:
             delta.apply = LogBucketSketch.from_dict(record["a"])
         if "s" in record:
@@ -376,7 +434,7 @@ class TelemetryDigest:
         if not isinstance(blob, dict):
             raise ValueError("digest blob must be a dict")
         if blob.get("v") != DIGEST_VERSION:
-            raise ValueError("unknown digest version %r" % (blob.get("v"),))
+            raise ValueError("unknown digest version")
         digest = cls()
         records = blob.get("members")
         if not isinstance(records, list):
@@ -492,7 +550,7 @@ class ClientTelemetry:
         malformed blobs are counted and dropped, never raised)."""
         try:
             digest = TelemetryDigest.decode(blob)
-        except (TypeError, ValueError, KeyError):
+        except ValueError:
             self.ingest_errors += 1
             return
         self.pending.merge(digest)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from .digest import DIGEST_VERSION, FOLDED_ID, MemberDelta, encoded_bytes
+from .digest import FOLDED_ID, MemberDelta, TelemetryDigest, encoded_bytes
 
 __all__ = ["FleetView", "render_fleet_view"]
 
@@ -88,18 +88,13 @@ class FleetView:
     # -- intake ------------------------------------------------------------------------
 
     def ingest(self, blob, t: Optional[float] = None) -> None:
-        """Accumulate one piggybacked digest blob (malformed blobs are
-        counted and dropped — a hostile client cannot crash the host)."""
-        # Parse every record before merging any, so a malformed blob
-        # drops whole instead of landing half its records.
+        """Accumulate one piggybacked digest blob.  A blob that does not
+        decode (:meth:`TelemetryDigest.decode`) is counted on
+        ``ingest_errors`` and dropped whole: a hostile client can neither
+        crash the host nor land half a blob."""
         try:
-            if not isinstance(blob, dict) or blob.get("v") != DIGEST_VERSION:
-                raise ValueError("bad digest blob")
-            records = blob["members"]
-            if not isinstance(records, list):
-                raise ValueError("digest blob has no members list")
-            deltas = [MemberDelta.from_dict(record) for record in records]
-        except (TypeError, ValueError, KeyError):
+            digest = TelemetryDigest.decode(blob)
+        except ValueError:
             self.ingest_errors += 1
             return
         size = encoded_bytes(blob)
@@ -109,7 +104,7 @@ class FleetView:
             self.max_blob_bytes = size
         if t is not None:
             self.last_ingest_t = t
-        for delta in deltas:
+        for delta in digest.members.values():
             if delta.member_id == FOLDED_ID:
                 if self._folded is None:
                     self._folded = MemberDelta(FOLDED_ID, weight=0)

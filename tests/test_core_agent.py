@@ -25,6 +25,7 @@ from repro.html import Text
 from repro.http import Headers, HttpClient, HttpRequest, HttpResponse
 from repro.net import LAN_PROFILE, Host, Network
 from repro.obs import FleetView, TelemetryDigest
+from repro.obs.fleet import render_fleet_view
 from repro.sim import AnyOf, Simulator
 from repro.webserver import OriginServer, StaticSite
 
@@ -957,3 +958,211 @@ def test_fuzzed_action_lists_end_in_200_or_a_counted_400(actions):
     response = run(sim, scenario())
     assert response.status in (200, 400)
     assert agent.stats["bad_poll_bodies"] == (response.status == 400)
+
+
+# -- hostile telemetry digests ------------------------------------------------------------
+
+
+def telemetry_world():
+    """A fleet-telemetry session on s.com, synced: the host, a relay
+    member ``r`` and its leaf ``p`` — ``(sim, host, leaf, session)``."""
+    sim = Simulator()
+    network = Network(sim)
+    site = StaticSite("s.com")
+    site.add_page("/", "<html><head><title>S</title></head><body><p>v1</p></body></html>")
+    OriginServer(network, "s.com", site.handle)
+    host = Browser(Host(network, "h-pc", LAN_PROFILE, segment="lan"), name="h")
+    session = CoBrowsingSession(host, poll_interval=0.5, transport="poll", telemetry=True)
+    session.fanout_tree(branching=1)
+    relay_guest, leaf = (
+        Browser(Host(network, "%s-pc" % name, LAN_PROFILE, segment="lan"), name=name)
+        for name in ("r", "p")
+    )
+
+    def scenario():
+        yield from session.join(relay_guest)
+        yield from session.join(leaf)
+        yield from session.host_navigate("http://s.com/")
+        yield from session.wait_until_synced()
+
+    run(sim, scenario())
+    return sim, host, leaf, session
+
+
+def intrude_with_body(sim, host, leaf, session, body):
+    """Send ``body`` (poll-body text) to the host's poll endpoint and to
+    the relay's, then check each ended in a 200, in a 400 counted on
+    ``bad_poll_bodies`` or in one ``ingest_errors`` at that agent's
+    telemetry sink; then edit the host page and wait out two telemetry
+    flushes.  Returns the statuses."""
+    relay = session.relays["r"]
+    statuses = []
+
+    def scenario():
+        for agent in (session.agent, relay):
+            bad_before = agent.stats["bad_poll_bodies"]
+            errors_before = agent.telemetry.ingest_errors
+            if "[" * 500 in body:
+                gc.collect()  # no finalizer may run at the recursion limit
+            response = yield from agent._poll_response(
+                HttpRequest("POST", "/poll", None, body.encode()), "x-pc"
+            )
+            bad = agent.stats["bad_poll_bodies"] - bad_before
+            errors = agent.telemetry.ingest_errors - errors_before
+            if response.status == 400:
+                assert (bad, errors) == (1, 0)
+            else:
+                assert response.status == 200
+                assert bad == 0 and errors in (0, 1)
+            statuses.append((response.status, errors))
+        host.mutate_document(lambda doc: doc.body.child_nodes[0].append_child(Text("!")))
+        yield from session.wait_until_synced()
+        yield sim.timeout(2 * session.fleet.flush_interval)
+
+    run(sim, scenario())
+    assert leaf.page.document.body.child_nodes[0].text_content == "v1!"
+    fleet = session.fleet
+    fleet.staleness_p95()
+    fleet.apply_p99()
+    fleet.stragglers()
+    json.dumps(fleet.to_dict())
+    render_fleet_view(fleet)
+    session.close()
+    return statuses
+
+
+def digest_poll(*members):
+    """A poll body from ``mallory`` carrying a digest of ``members``,
+    each a JSON text."""
+    return '{"participant": "mallory", "timestamp": 0, "actions": [], "telemetry": %s}' % (
+        '{"v": 1, "members": [%s]}' % ", ".join(members)
+    )
+
+
+class TestHostileTelemetryDigests:
+    """A piggybacked digest that does not decode is dropped whole and
+    counted on the sink's ``ingest_errors``, at the host and at a relay:
+    the session goes on, the rollups stay finite and the honest member
+    converges on the next edit."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"id": "x", "w": Infinity}',
+            '{"id": "x", "c": {"polls": 1e400}}',
+            '{"id": "x", "a": {"n": 1, "s": 3, "lo": 3, "hi": 3, "b": [[3]]}}',
+            # 2.0 ** (100000 - 0.5) overflows in every rollup after it.
+            '{"id": "x", "s": {"n": 1, "s": 5, "lo": 5, "hi": 5, "b": [[100000, 1]]}}',
+            '{"id": "x", "s": {"n": 10, "s": 50, "lo": 5, "hi": 5, "b": [[3, 1]]}}',
+            # The fuzzer's first new finding: .items() on a bool.
+            '{"id": "x", "c": true}',
+        ],
+        ids=[
+            "weight-infinity",
+            "counter-1e400",
+            "bucket-pair-of-one",
+            "bucket-index-100000",
+            "ten-samples-one-bucketed",
+            "counters-not-an-object",
+        ],
+    )
+    def test_malformed_record_is_one_ingest_error(self, record):
+        sim, host, leaf, session = telemetry_world()
+        body = digest_poll('{"id": "honest", "c": {"polls": 1}}', record)
+        assert intrude_with_body(sim, host, leaf, session, body) == [(200, 1), (200, 1)]
+        assert session.fleet.member("honest") is None
+        assert session.fleet.member("x") is None
+
+
+#: Numbers Python's JSON decoder reads that no float or 64-bit count
+#: holds, and one it refuses (more digits than ``int()`` converts).
+ODD_NUMBERS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "-1", "2.5", "true",
+    "18446744073709551616", "1" + "0" * 40, "9" * 4301,
+]
+COUNTER_NAMES = ["polls", "bytes_seen", "resyncs", "bogus", ""]
+
+
+def digest_field_texts():
+    """Any JSON text for one field: every type, nested or not, and the
+    odd numbers."""
+    return json_texts() | st.sampled_from(ODD_NUMBERS)
+
+
+def mostly(well_typed):
+    """JSON text from ``well_typed`` four times in five, any JSON text
+    otherwise."""
+    return st.sampled_from(range(5)).flatmap(
+        lambda k: well_typed if k else digest_field_texts()
+    )
+
+
+def object_text(fields):
+    """JSON text of an object from ``{key: JSON text}``."""
+    return "{%s}" % ",".join(json.dumps(key) + ":" + value for key, value in fields.items())
+
+
+def well(strategy):
+    return mostly(strategy.map(json.dumps))
+
+
+def sketch_texts():
+    """A sketch record whose bucket counts sum to its ``n``, each field
+    of which may be any JSON text instead."""
+    pairs = st.lists(st.tuples(st.integers(0, 64), st.integers(0, 4)).map(list), max_size=3)
+    bound = st.integers(0, 2**64 - 1)
+    return st.tuples(pairs, bound, bound, bound).flatmap(
+        lambda drawn: st.fixed_dictionaries(
+            {
+                "n": well(st.just(sum(count for _, count in drawn[0]))),
+                "s": well(st.just(drawn[1])),
+                "lo": well(st.just(min(drawn[2:]))),
+                "hi": well(st.just(max(drawn[2:]))),
+                "b": well(st.just(drawn[0])),
+            }
+        )
+    ).map(object_text)
+
+
+def member_texts():
+    counters = st.dictionaries(st.sampled_from(COUNTER_NAMES), st.integers(0, 9), max_size=3)
+    modes = st.dictionaries(st.sampled_from(["poll", "push", "x"]), st.integers(0, 9), max_size=2)
+    return st.fixed_dictionaries(
+        {
+            "id": well(st.sampled_from(["x", "*", "\u0130"])),
+            "w": well(st.integers(0, 3)),
+            "c": well(counters),
+            "m": well(modes),
+            "a": mostly(sketch_texts()),
+            "s": mostly(sketch_texts()),
+        }
+    ).map(object_text)
+
+
+def poll_body_texts():
+    """A whole poll body: the snippet's fields and a digest of member
+    records, each field well typed or any JSON text."""
+    members = st.lists(mostly(member_texts()), max_size=3).map(
+        lambda items: "[%s]" % ",".join(items)
+    )
+    digest = st.fixed_dictionaries({"v": well(st.just(1)), "members": mostly(members)})
+    return st.fixed_dictionaries(
+        {
+            "participant": well(st.just("mallory")),
+            "timestamp": well(st.just(0)),
+            "actions": well(st.just([])),
+            "transport": well(st.sampled_from(["poll", "longpoll", "push"])),
+            "telemetry": mostly(digest.map(object_text)),
+        }
+    ).map(object_text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poll_body_texts())
+def test_fuzzed_poll_bodies_end_in_200_400_or_one_ingest_error(body):
+    """Whatever a poll body holds, the host's and a relay's poll
+    endpoints end it in a 200, a counted 400 or one counted
+    ``ingest_errors``; the fleet rollups never raise and the honest
+    member converges on the next edit."""
+    sim, host, leaf, session = telemetry_world()
+    intrude_with_body(sim, host, leaf, session, body)

@@ -9,6 +9,8 @@ machine — including a hypothesis property that dwell-window hysteresis
 never lets a member's mode flap faster than the dwell.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,14 +26,18 @@ from repro.core import (
     LongPollTransport,
     MouseMoveAction,
     PushTransport,
+    RCBAgent,
     coerce_transport,
     coerce_transport_mode,
     default_transport_mode,
+    encode_actions,
     transport_for_mode,
 )
-from repro.core.transport import MODE_INDEX, TRANSPORT_ENV
+from repro.core.transport import MODE_INDEX, TRANSPORT_ENV, TRANSPORT_HEADER
+from repro.core.xmlformat import parse_envelope
+from repro.http import HttpRequest
 from repro.net import LAN_PROFILE, Host, Network
-from repro.obs import EventBus, TRANSPORT_SWITCH
+from repro.obs import POLL_SERVED, EventBus, TRANSPORT_SWITCH
 from repro.sim import Simulator
 from repro.webserver import OriginServer, StaticSite
 
@@ -295,6 +301,208 @@ class TestHeldPollRegistrations:
         run(sim, scenario())
         assert session.agent.stats["held_polls_open"] == members
         assert max(lengths) <= 4 * members
+
+
+def build_host(transport, **agent_kwargs):
+    """A host agent on :data:`PAGE`, polled straight through its poll
+    endpoint (no network): ``(sim, browser, agent)``."""
+    sim = Simulator()
+    network = Network(sim)
+    site = StaticSite("site.com")
+    site.add_page("/", PAGE)
+    OriginServer(network, "site.com", site.handle)
+    browser = Browser(Host(network, "host-pc", LAN_PROFILE, segment="campus"), name="bob")
+    agent = RCBAgent(transport=transport, **agent_kwargs)
+    agent.install(browser)
+    sim.run_until_complete(sim.process(browser.navigate("http://site.com/")))
+    return sim, browser, agent
+
+
+def start_poll(sim, agent, member, timestamp, mode):
+    """Send one poll reporting ``mode``; the returned dict receives the
+    ``response`` and the sim time it was answered ``at``."""
+    answer = {}
+
+    def exchange():
+        body = json.dumps(
+            {"participant": member, "timestamp": timestamp, "actions": [], "transport": mode}
+        ).encode()
+        request = HttpRequest("POST", "/poll", None, body)
+        answer["response"] = yield from agent._poll_response(request, member)
+        answer["at"] = sim.now
+
+    sim.process(exchange())
+    return answer
+
+
+def envelopes(response):
+    """The envelopes of one poll response, parsed (a push response ships
+    several back to back, each opening with the XML declaration)."""
+    text = response.body.decode("ascii")
+    return [
+        parse_envelope("<?xml" + chunk) for chunk in text.split("<?xml") if chunk
+    ]
+
+
+class TestPushStream:
+    """Streamed push at the agent: a parked push poll released by a
+    change lingers ``stream_linger`` for follow-up changes and ships
+    them in the same response, each envelope a delta from the one
+    before it, up to ``max_envelopes``."""
+
+    def park(self, transport, members=("m0",), **agent_kwargs):
+        """Join ``members`` (a full envelope each, which also puts the
+        base state in the snapshot ring), then park one push poll per
+        member at that state."""
+        sim, browser, agent = build_host(transport, **agent_kwargs)
+        base = agent.doc_time
+        for member in members:
+            joined = start_poll(sim, agent, member, 0, TRANSPORT_PUSH)
+            sim.run(until=sim.now + 0.1)
+            assert not envelopes(joined["response"])[0].is_delta
+        answers = {
+            member: start_poll(sim, agent, member, base, TRANSPORT_PUSH) for member in members
+        }
+        sim.run(until=sim.now + 0.5)
+        assert not any(answers.values()), "nothing to send: every poll must be parked"
+        return sim, browser, agent, base, answers
+
+    def test_max_envelopes_caps_the_stream(self):
+        sim, browser, agent, base, answers = self.park(
+            PushTransport(max_envelopes=2, stream_linger=1.0)
+        )
+        edited_at = []
+        for index in range(3):
+            edit_paragraph(browser, index, "burst %d" % index)
+            edited_at.append(sim.now)
+            sim.run(until=sim.now + 0.1)
+        answer = answers["m0"]
+        # The cap, not the linger, ended the stream: at the second edit.
+        assert answer["at"] == edited_at[1]
+        first, second = envelopes(answer["response"])
+        assert (first.base_time, second.base_time) == (base, first.doc_time)
+        assert agent.stats["push_envelopes_streamed"] == 2
+        # The third edit's state rides the next poll.
+        follow = start_poll(sim, agent, "m0", second.doc_time, TRANSPORT_PUSH)
+        sim.run(until=sim.now + 0.1)
+        (third,) = envelopes(follow["response"])
+        assert (third.base_time, third.doc_time) == (second.doc_time, agent.doc_time)
+
+    def test_linger_ending_without_a_change_ships_one_envelope(self):
+        events = EventBus()
+        sim, browser, agent, base, answers = self.park(PushTransport(), events=events)
+        edit_paragraph(browser, 0, "single edit")
+        edited_at = sim.now
+        sim.run(until=sim.now + 1.0)
+        answer = answers["m0"]
+        assert answer["at"] == pytest.approx(edited_at + PushTransport().stream_linger)
+        (envelope,) = envelopes(answer["response"])
+        assert envelope.base_time == base and envelope.doc_time == agent.doc_time
+        assert agent.stats["push_envelopes_streamed"] == 1
+        served = [e for e in events.events(type=POLL_SERVED) if e.data["kind"] == "push"]
+        assert [(e.data["participant"], e.data["envelopes"]) for e in served] == [("m0", 1)]
+
+    def test_outbound_action_ends_the_stream_and_rides_the_next_response(self):
+        sim, browser, agent, base, answers = self.park(
+            PushTransport(max_envelopes=4, stream_linger=1.0)
+        )
+        edit_paragraph(browser, 0, "edit before the pointer")
+        sim.run(until=sim.now + 0.1)
+        assert not answers["m0"], "lingering for follow-up changes"
+        pointer = MouseMoveAction(4, 2)
+        agent.broadcast_action(pointer)
+        broadcast_at = sim.now
+        sim.run(until=sim.now + 0.1)
+        answer = answers["m0"]
+        assert answer["at"] == broadcast_at
+        (envelope,) = envelopes(answer["response"])
+        assert envelope.user_actions_json == "[]"
+        follow = start_poll(sim, agent, "m0", envelope.doc_time, TRANSPORT_PUSH)
+        sim.run(until=sim.now + 0.1)
+        (actions_only,) = envelopes(follow["response"])
+        assert not actions_only.top_elements and not actions_only.is_delta
+        assert actions_only.user_actions_json == encode_actions([pointer])
+
+    def test_switch_during_a_linger_is_advertised_on_that_response(self):
+        sim, browser, agent, base, answers = self.park(
+            PushTransport(max_envelopes=4, stream_linger=1.0)
+        )
+        edit_paragraph(browser, 0, "edit before the switch")
+        edited_at = sim.now
+        sim.run(until=sim.now + 0.1)
+        agent.set_member_transport("m0", TRANSPORT_LONGPOLL, reason="test")
+        sim.run(until=sim.now + 2.0)
+        answer = answers["m0"]
+        assert answer["at"] <= edited_at + 1.0
+        assert answer["response"].headers.get(TRANSPORT_HEADER) == TRANSPORT_LONGPOLL
+        (envelope,) = envelopes(answer["response"])
+        assert envelope.base_time == base
+
+    def test_co_released_streams_share_one_plan(self):
+        sim, browser, agent, base, answers = self.park(PushTransport(), members=("m0", "m1"))
+        batched_before = agent.stats["serve_batched_polls"]
+        edit_paragraph(browser, 0, "released together")
+        sim.run(until=sim.now + 1.0)
+        assert answers["m0"]["response"].body == answers["m1"]["response"].body
+        assert len(envelopes(answers["m0"]["response"])) == 1
+        assert agent.stats["serve_batched_polls"] > batched_before
+        assert agent.stats["push_envelopes_streamed"] == 2
+        assert agent.stats["held_polls_open"] == 0
+
+    def test_uninstall_while_parked_answers_empty(self):
+        sim, browser, agent, base, answers = self.park(PushTransport(hold_timeout=2.0))
+        agent.uninstall()
+        sim.run(until=sim.now + 3.0)
+        response = answers["m0"]["response"]
+        assert response.status == 200 and response.body == b""
+        assert agent.stats["held_polls_open"] == 0
+
+    @pytest.mark.parametrize("mode", [TRANSPORT_LONGPOLL, TRANSPORT_PUSH])
+    def test_switch_releases_a_parked_poll_at_once(self, mode):
+        """``set_member_transport`` wakes the member's parked poll, which
+        answers in the same sim instant with the new grant — under push
+        as under long poll (push used to park again for the rest of its
+        hold)."""
+        sim, browser, agent = build_host(mode)
+        base = agent.doc_time
+        start_poll(sim, agent, "m0", 0, mode)
+        sim.run(until=sim.now + 0.1)
+        answer = start_poll(sim, agent, "m0", base, mode)
+        sim.run(until=sim.now + 1.0)
+        assert not answer, "nothing to send: the poll must be parked"
+        switched_at = sim.now
+        agent.set_member_transport("m0", TRANSPORT_POLL, reason="test")
+        sim.run(until=sim.now + 1.0)
+        assert answer["at"] == switched_at
+        assert answer["response"].body == b""
+        assert answer["response"].headers.get(TRANSPORT_HEADER) == TRANSPORT_POLL
+
+    def test_stream_deltas_chain_from_the_previous_envelope(self):
+        """An edit lands while the first envelope's generation CPU is
+        charged, and a second member's poll generates that skipped
+        state.  The next envelope must still be a delta from the state
+        the first one shipped, the one the member holds."""
+        sim, browser, agent, base, answers = self.park(
+            PushTransport(max_envelopes=4, stream_linger=1.0),
+            generation_cost_per_kb=0.05,
+        )
+
+        def meanwhile():
+            yield sim.timeout(0.001)
+            edit_paragraph(browser, 1, "edit during generation")
+            start_poll(sim, agent, "m1", 0, TRANSPORT_POLL)
+            yield sim.timeout(0.2)
+            edit_paragraph(browser, 2, "edit during the linger")
+
+        edit_paragraph(browser, 0, "first edit")
+        sim.process(meanwhile())
+        sim.run(until=sim.now + 3.0)
+        streamed = envelopes(answers["m0"]["response"])
+        assert len(streamed) >= 2
+        assert streamed[0].base_time == base
+        for previous, envelope in zip(streamed, streamed[1:]):
+            assert envelope.base_time == previous.doc_time
+        assert streamed[-1].doc_time == agent.doc_time
 
 
 class _StubAgent:

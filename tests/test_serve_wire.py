@@ -121,6 +121,8 @@ class Playback:
             lambda e: self.fallbacks.append(e) if e.type == DELTA_FALLBACK else None
         )
         self.served = []
+        #: Full envelopes by doc_time, for deltas inside push responses.
+        self.full_bodies = {}
 
     def serve(self, member, their_time, actions=(), force_full=False):
         """Serve one poll body directly; log the whole HTTP response."""
@@ -156,7 +158,7 @@ class Playback:
         assert response.status == 200
         assert response.wire_plan is not None, "%s: not a wire plan" % label
         body = response.body
-        is_delta = bool(body) and parse_envelope(body.decode("ascii")).is_delta
+        is_delta = bool(body) and parse_envelope(envelopes_of(body)[-1].decode("ascii")).is_delta
         self.served.append(
             Served(label, is_delta, response.to_bytes(), body, list(actions), None)
         )
@@ -170,6 +172,12 @@ class Playback:
         """The member's full envelope at the current document state."""
         full, _ = self.agent._serve_body(member, 0, [])
         return self.agent._respond(full).body
+
+    def note_full_body(self, member):
+        """Keep the member's full envelope of the current state, which
+        the oracle needs for a delta this state ships inside a push
+        response."""
+        self.full_bodies[self.agent.doc_time] = self._full_body(member)
 
     def client(self, name):
         network = self.browser.host.network
@@ -191,6 +199,12 @@ class Playback:
                 for e in self.fallbacks
             ],
         }
+
+
+def envelopes_of(body):
+    """A served body split into its envelopes: a push response ships
+    several back to back, each opening with the XML declaration."""
+    return [b"<?xml" + chunk for chunk in body.split(b"<?xml") if chunk]
 
 
 def poll_payload(member, their_time, transport=None):
@@ -373,20 +387,60 @@ def hmac_action_only_then_empty():
     return broadcast_then_polls(MouseMoveAction(8, 1), secret="golden-secret")
 
 
-@golden
-def hold_released_by_broadcast():
-    """A long poll parked at the current state and released by a host
+def held_then_broadcast(transport, pointer):
+    """A poll parked at the current state and released by a host
     broadcast with no document change: an action-only response."""
-    play = Playback(transport="longpoll")
-    play.poll("m0", 0, "m0 joins", transport="longpoll")
+    play = Playback(transport=transport)
+    play.poll("m0", 0, "m0 joins", transport=transport)
     base = play.agent.doc_time
-    held = play.start_poll("m0", base, "longpoll")
+    held = play.start_poll("m0", base, transport)
     play.sim.run(until=play.sim.now + 0.5)
     assert not held.triggered, "nothing to send: the poll must be parked"
-    pointer = MouseMoveAction(2, 4)
     play.agent.broadcast_action(pointer)
     play.log_poll("m0 released by broadcast", held, [pointer])
     assert play.agent.doc_time == base
+    return play
+
+
+@golden
+def hold_released_by_broadcast():
+    return held_then_broadcast("longpoll", MouseMoveAction(2, 4))
+
+
+@golden
+def push_released_by_broadcast():
+    return held_then_broadcast("push", MouseMoveAction(6, 3))
+
+
+@golden
+def push_stream_of_three_edits():
+    """A push poll parked at the base state, released by an edit, with
+    two more edits inside its linger: one response of three envelopes,
+    each a delta from the one before it."""
+    play = Playback(transport="push")
+    base = play.agent.doc_time
+    # Warm the snapshot ring at the base state so the release is a delta.
+    play.serve("m0", 0)
+    held = play.start_poll("m0", base, "push")
+    play.sim.run(until=play.sim.now + 0.5)
+    assert not held.triggered, "nothing to send: the poll must be parked"
+    for index in range(3):
+        edit_headline(play.browser, "burst %d" % index)
+        play.note_full_body("m0")
+        play.sim.run(until=play.sim.now + 0.01)
+    response = play.log_poll("m0 streamed", held)
+    assert len(envelopes_of(response.body)) == 3
+    return play
+
+
+@golden
+def push_hold_times_out_empty():
+    """A push poll parked with nothing happening until its hold timeout:
+    an empty 200."""
+    play = Playback(transport="push")
+    play.poll("m0", 0, "m0 joins", transport="push")
+    held = play.start_poll("m0", play.agent.doc_time, "push")
+    play.log_poll("m0 hold timed out", held)
     return play
 
 
@@ -408,7 +462,16 @@ def play_golden(name):
             # pins its headers.
             assert not served.actions
             continue
-        assert_reference_envelope(served.body, served.actions, served.full_body)
+        # Each envelope of a push response passes on its own; the
+        # member's queued actions ride the first.
+        actions = served.actions
+        for body in envelopes_of(served.body):
+            full_body = served.full_body
+            if full_body is None:
+                doc_time = parse_envelope(body.decode("ascii")).doc_time
+                full_body = play.full_bodies.get(doc_time)
+            assert_reference_envelope(body, actions, full_body)
+            actions = []
     return play
 
 
@@ -649,6 +712,15 @@ class TestEmptyAndActionOnlyResponses:
         released = play.served[-1]
         assert not parse_envelope(released.body.decode("ascii")).top_elements
 
+    def test_push_released_by_broadcast(self):
+        play = play_golden("push_released_by_broadcast")
+        released = play.served[-1]
+        assert not parse_envelope(released.body.decode("ascii")).top_elements
+
+    def test_push_hold_times_out_into_an_empty_200(self):
+        play = play_golden("push_hold_times_out_empty")
+        assert play.served[-1].body == b""
+
 
 class TestPlanFallbackMemo:
     def test_fallback_is_remembered_not_rediffed(self):
@@ -718,6 +790,18 @@ class TestHeldPollBroadcastPlan:
         play = play_golden("released_hold")
         released = [served for served in play.served if "released" in served.label]
         assert [served.is_delta for served in released] == [True, True]
+
+    def test_push_stream_bytes_match_the_golden_envelopes(self):
+        """A released push poll ships the edits inside its linger as
+        chained deltas in one response, with the golden bytes."""
+        play = play_golden("push_stream_of_three_edits")
+        streamed = [
+            parse_envelope(body.decode("ascii"))
+            for body in envelopes_of(play.served[-1].body)
+        ]
+        assert all(envelope.is_delta for envelope in streamed)
+        for previous, envelope in zip(streamed, streamed[1:]):
+            assert envelope.base_time == previous.doc_time
 
 
 if __name__ == "__main__":
