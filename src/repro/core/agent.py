@@ -47,7 +47,7 @@ from ..obs import (
     format_trace_header,
 )
 from ..obs.trace import TRACE_HEADER
-from ..sim import AnyOf, Interrupt, StoreClosed
+from ..sim import Interrupt, StoreClosed
 from .actions import (
     ActionError,
     ClickAction,
@@ -105,6 +105,11 @@ _ACTION_FAILURES = (ActionError, NavigationError, UrlError)
 #: per-member table and rides each roster and presence broadcast to
 #: every member, so it gets a limit of its own, far below the body cap.
 MAX_PARTICIPANT_ID_CHARS = 256
+
+#: Queued outbound actions kept per member, as many as the snippet keeps
+#: of those it received: a member that stops polling holds the newest
+#: ones, and each older one dropped counts on ``outbound_actions_dropped``.
+OUTBOUND_ACTIONS_KEPT = 1024
 
 
 def _well_formed_poll(payload) -> bool:
@@ -810,12 +815,20 @@ class RCBAgent(BrowserExtension):
         start = sim.now
         waiter = sim.event()
         timer = sim.timeout(duration)
+
+        def expire(_timer):
+            if not waiter.triggered:
+                waiter.succeed()
+
+        # The timer releases the hold through the waiter, so one event
+        # resumes the poll however the hold ends.
+        timer.callbacks.append(expire)
         self._change_waiters[waiter] = None
         participant.wake_events[waiter] = None
         self._held_open += 1
         self._held_polls_open.value = self._held_open
         try:
-            yield AnyOf(sim, [waiter, timer])
+            yield waiter
         finally:
             # A hold released early withdraws its timer, which would
             # otherwise sit in the event queue until the full duration.
@@ -1354,7 +1367,15 @@ class RCBAgent(BrowserExtension):
         used for host-side pointer mirroring and participant fan-out."""
         for participant_id, state in self.participants.items():
             if participant_id != exclude:
-                state.outbound_actions.append(action)
+                queue = state.outbound_actions
+                if len(queue) >= OUTBOUND_ACTIONS_KEPT:
+                    del queue[0]
+                    # Declared on the first drop, so an agent that never
+                    # drops registers nothing.
+                    if "outbound_actions_dropped" not in self.stats:
+                        self.stats.declare_counter("outbound_actions_dropped")
+                    self.stats.inc("outbound_actions_dropped")
+                queue.append(action)
                 # A held poll must deliver queued actions now, not at
                 # its hold timeout.
                 self._wake_member(state)

@@ -432,9 +432,9 @@ class AjaxSnippet:
                     yield self.sim.timeout(self.backoff.delay(self._consecutive_failures))
                     continue
                 self._consecutive_failures = 0
-                yield self.sim.timeout(
-                    self._next_poll_delay(applied, self.sim.now - started)
-                )
+                delay = self._next_poll_delay(applied, self.sim.now - started)
+                if delay:
+                    yield self.sim.timeout(delay)
         except Interrupt:
             return
 

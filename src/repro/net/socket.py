@@ -266,42 +266,26 @@ class Connection:
         return self.remote.name
 
     def send(self, data: bytes) -> Event:
-        """Transmit ``data``; the event fires once delivery is complete.
+        """Transmit ``data``; the event fires with the byte count once
+        delivery is complete.
 
         The payload arrives on the peer's receive buffer after the full
         link-model delay.  Sends on a closed connection fail.
         """
-        done = self.sim.event()
         if self.closed or self._peer is None:
-            done.fail(NetworkError("send() on closed connection"))
-            return done
+            return self.sim.event().fail(NetworkError("send() on closed connection"))
         if not isinstance(data, (bytes, bytearray)):
             raise TypeError("send() requires bytes, got %r" % (type(data),))
         data = bytes(data)
-        self.bytes_sent += len(data)
-        network = self.local.network
-        delay = network.transfer_delay(self.local, self.remote, len(data))
-        if network.slow_start_enabled and len(data) > self._cwnd:
-            # Each doubling of the congestion window costs one RTT of
-            # idle pacing before the pipe runs at line rate.
-            rtt = 2 * network.propagation_latency(self.local, self.remote)
-            rounds = 0
-            cwnd = self._cwnd
-            while cwnd < len(data):
-                cwnd *= 2
-                rounds += 1
-            self._cwnd = cwnd
-            delay += rounds * rtt
+        nbytes = len(data)
         peer = self._peer
 
         def deliver(_event):
-            if peer is not None and not peer._inbox.closed:
+            if not peer._inbox.closed:
                 peer._inbox.put(data)
-                peer.bytes_received += len(data)
-            done.succeed(len(data))
+                peer.bytes_received += nbytes
 
-        self.sim.timeout(delay)._add_callback(deliver)
-        return done
+        return self._transmit(nbytes, deliver)
 
     def sendv(self, buffers) -> Event:
         """Transmit a writev-style buffer list (scatter-gather send).
@@ -311,21 +295,36 @@ class Connection:
         like ``writev(2)`` handing an iovec to the kernel.  The single
         contiguous chunk the peer receives is assembled at *delivery*
         time — modelling the receiver's stream reassembly, not a
-        sender-side copy.  Sends on a closed connection fail.
+        sender-side copy.  Completes like :meth:`send`.
         """
-        done = self.sim.event()
         if self.closed or self._peer is None:
-            done.fail(NetworkError("sendv() on closed connection"))
-            return done
+            return self.sim.event().fail(NetworkError("sendv() on closed connection"))
         nbytes = 0
         for buffer in buffers:
             if not isinstance(buffer, (bytes, bytearray, memoryview)):
                 raise TypeError("sendv() requires byte buffers, got %r" % (type(buffer),))
             nbytes += len(buffer)
+        peer = self._peer
+
+        def deliver(_event):
+            if not peer._inbox.closed:
+                peer._inbox.put(b"".join(buffers))
+                peer.bytes_received += nbytes
+
+        return self._transmit(nbytes, deliver)
+
+    def _transmit(self, nbytes: int, deliver) -> Event:
+        """Charge ``nbytes`` to the link model and return the delivery
+        timer, valued with the byte count.  ``deliver`` is its first
+        callback, so a sender waiting on the timer resumes with the
+        bytes already on the peer's receive buffer, in the same kernel
+        event: a send completes without an event of its own."""
         self.bytes_sent += nbytes
         network = self.local.network
         delay = network.transfer_delay(self.local, self.remote, nbytes)
         if network.slow_start_enabled and nbytes > self._cwnd:
+            # Each doubling of the congestion window costs one RTT of
+            # idle pacing before the pipe runs at line rate.
             rtt = 2 * network.propagation_latency(self.local, self.remote)
             rounds = 0
             cwnd = self._cwnd
@@ -334,15 +333,8 @@ class Connection:
                 rounds += 1
             self._cwnd = cwnd
             delay += rounds * rtt
-        peer = self._peer
-
-        def deliver(_event):
-            if peer is not None and not peer._inbox.closed:
-                peer._inbox.put(b"".join(buffers))
-                peer.bytes_received += nbytes
-            done.succeed(nbytes)
-
-        self.sim.timeout(delay)._add_callback(deliver)
+        done = self.sim.timeout(delay, nbytes)
+        done.callbacks.append(deliver)
         return done
 
     def recv(self) -> Event:

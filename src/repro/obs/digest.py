@@ -35,7 +35,7 @@ attached, and an attached reporter with nothing pending adds no bytes.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 __all__ = [
     "FOLDED_ID",
@@ -59,6 +59,16 @@ MAX_BUCKET = 64
 #: Every integer a digest record carries (a count, a sum, a sample bound)
 #: lies in ``[0, 2**64)``: the rollups convert them to floats.
 _INT_LIMIT = 2**64
+
+#: The transport modes a member's poll counts may name: the snippet
+#: records only these (``repro.core.transport.TRANSPORT_MODES``, kept
+#: apart so the fleet plane does not import the core).
+POLL_MODES = ("poll", "longpoll", "push")
+
+#: Compact size of the largest deepest-fold blob: one ``*`` record with
+#: every integer at ``2**64 - 1``, all three modes and no bucket lists.
+#: The only honest blob that can exceed a small byte cap.
+DEEPEST_FOLD_BYTES = 582
 
 
 def _count(value, what: str) -> int:
@@ -313,9 +323,9 @@ class MemberDelta:
     def from_dict(cls, record) -> "MemberDelta":
         """Decode a wire record.  Raises ValueError unless ``id`` is a
         non-empty string, ``w`` a count, ``c`` an object of
-        :attr:`COUNTERS` names to counts, ``m`` an object of mode names
-        to counts, and ``a`` and ``s`` decode as sketches (a count is an
-        integer in ``[0, 2**64)``)."""
+        :attr:`COUNTERS` names to counts, ``m`` an object of
+        :data:`POLL_MODES` names to counts, and ``a`` and ``s`` decode as
+        sketches (a count is an integer in ``[0, 2**64)``)."""
         if not isinstance(record, dict):
             raise ValueError("member delta record must be an object")
         member_id = record.get("id")
@@ -327,6 +337,8 @@ class MemberDelta:
                 raise ValueError("unknown counter %r" % key)
             delta.counters[key] = _count(value, key)
         for mode, count in _object(record, "m").items():
+            if mode not in POLL_MODES:
+                raise ValueError("unknown transport mode %r" % mode)
             delta.mode_polls[mode] = _count(count, "mode polls")
         if "a" in record:
             delta.apply = LogBucketSketch.from_dict(record["a"])
@@ -443,6 +455,27 @@ class TelemetryDigest:
             digest.merge_member(MemberDelta.from_dict(record))
         return digest
 
+    @classmethod
+    def admit(cls, blob, byte_cap: int) -> Tuple["TelemetryDigest", int]:
+        """Decode a child's blob for a sink that folds under ``byte_cap``;
+        return it with its compact size.  Raises ValueError when it does
+        not decode, or when it is over the cap without being the
+        encoder's deepest fold (:meth:`encode`), which no cap shrinks
+        further: so one poll adds at most a cap's worth of records."""
+        digest = cls.decode(blob)
+        size = encoded_bytes(blob)
+        if size > byte_cap:
+            folded = digest.members.get(FOLDED_ID)
+            if not (
+                size <= DEEPEST_FOLD_BYTES
+                and len(blob["members"]) == 1
+                and folded is not None
+                and not folded.apply.buckets
+                and not folded.staleness.buckets
+            ):
+                raise ValueError("%d-byte digest over the %d-byte cap" % (size, byte_cap))
+        return digest, size
+
     def __repr__(self):
         return "TelemetryDigest(%d members)" % len(self.members)
 
@@ -547,9 +580,10 @@ class ClientTelemetry:
     def ingest(self, blob, t=None) -> None:
         """Merge a downstream child's digest blob into pending (the
         relay-tier sink half of the duck-typed telemetry interface;
-        malformed blobs are counted and dropped, never raised)."""
+        malformed or over-cap blobs (:meth:`TelemetryDigest.admit`) are
+        counted and dropped, never raised)."""
         try:
-            digest = TelemetryDigest.decode(blob)
+            digest, _size = TelemetryDigest.admit(blob, self.byte_cap)
         except ValueError:
             self.ingest_errors += 1
             return

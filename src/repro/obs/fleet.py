@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from .digest import FOLDED_ID, MemberDelta, TelemetryDigest, encoded_bytes
+from .digest import FOLDED_ID, MemberDelta, TelemetryDigest
 
 __all__ = ["FleetView", "render_fleet_view"]
 
@@ -89,15 +89,15 @@ class FleetView:
 
     def ingest(self, blob, t: Optional[float] = None) -> None:
         """Accumulate one piggybacked digest blob.  A blob that does not
-        decode (:meth:`TelemetryDigest.decode`) is counted on
-        ``ingest_errors`` and dropped whole: a hostile client can neither
-        crash the host nor land half a blob."""
+        decode, or is over :attr:`byte_cap` (:meth:`TelemetryDigest.admit`),
+        is counted on ``ingest_errors`` and dropped whole: a hostile
+        client can neither crash the host, land half a blob, nor add
+        more than a cap's worth of records in one poll."""
         try:
-            digest = TelemetryDigest.decode(blob)
+            digest, size = TelemetryDigest.admit(blob, self.byte_cap)
         except ValueError:
             self.ingest_errors += 1
             return
-        size = encoded_bytes(blob)
         self.digests_ingested += 1
         self.telemetry_wire_bytes += size
         if size > self.max_blob_bytes:

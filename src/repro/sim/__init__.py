@@ -2,7 +2,6 @@
 
 from .kernel import (
     AllOf,
-    AnyOf,
     Condition,
     Event,
     Interrupt,
@@ -15,7 +14,6 @@ from .resources import Store, StoreClosed
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Condition",
     "Event",
     "Interrupt",

@@ -12,7 +12,7 @@ A process is a Python generator that yields *events*:
 * ``yield other_process`` — resume when the other process terminates
   (processes are themselves events whose value is the generator's return
   value).
-* ``yield AnyOf([a, b])`` / ``yield AllOf([a, b])`` — composite waits.
+* ``yield AllOf(sim, [a, b])`` — resume once every sub-event triggered.
 
 Determinism: events scheduled for the same simulated time fire in FIFO
 order of scheduling, so repeated runs are bit-for-bit identical.
@@ -30,7 +30,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Condition",
-    "AnyOf",
     "AllOf",
     "Interrupt",
     "SimulationError",
@@ -285,11 +284,6 @@ class Condition(Event):
             self.fail(event._value)
         elif self._evaluate(self.events, self._count):
             self.succeed(self._collect_values())
-
-
-def AnyOf(sim: "Simulator", events: Iterable[Event]) -> Condition:
-    """Triggered as soon as any sub-event triggers."""
-    return Condition(sim, events, lambda events, count: count > 0)
 
 
 def AllOf(sim: "Simulator", events: Iterable[Event]) -> Condition:

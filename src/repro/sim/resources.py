@@ -1,8 +1,9 @@
 """Synchronization primitive built on the kernel: the store.
 
-:class:`Store` is an unbounded (or bounded) FIFO queue of items with
-event-returning ``put``/``get`` — the building block for simulated network
-channels and socket buffers.
+:class:`Store` is an unbounded FIFO queue of items with an event-returning
+``get`` — the building block for simulated network channels and socket
+buffers.  ``put`` never blocks, so it enqueues at once and schedules no
+event of its own: the only event an item costs is the waiting getter's.
 """
 
 from __future__ import annotations
@@ -20,16 +21,12 @@ class StoreClosed(Exception):
 
 
 class Store:
-    """FIFO item queue with blocking get and optionally bounded put."""
+    """Unbounded FIFO item queue with blocking get."""
 
-    def __init__(self, sim: Simulator, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()
         self._closed = False
 
     def __len__(self) -> int:
@@ -40,25 +37,25 @@ class Store:
         """Whether close() has been called."""
         return self._closed
 
-    def put(self, item: Any) -> Event:
-        """Return an event that triggers once ``item`` is enqueued."""
+    def put(self, item: Any) -> None:
+        """Enqueue ``item`` now, handing it to the oldest waiting getter
+        if there is one."""
         if self._closed:
             raise StoreClosed("put() on a closed store")
-        event = self.sim.event()
-        event.item = item
-        self._putters.append(event)
-        self._dispatch()
-        return event
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
 
     def get(self) -> Event:
         """Return an event that triggers with the next item."""
-        if self._closed and not self.items and not self._putters:
-            event = self.sim.event()
+        event = Event(self.sim)
+        if self.items:
+            event.succeed(self.items.popleft())
+        elif self._closed:
             event.fail(StoreClosed("get() on a drained, closed store"))
-            return event
-        event = self.sim.event()
-        self._getters.append(event)
-        self._dispatch()
+        else:
+            self._getters.append(event)
         return event
 
     def close(self) -> None:
@@ -66,28 +63,6 @@ class Store:
         if self._closed:
             return
         self._closed = True
-        self._dispatch()
-        # Fail getters that can never be satisfied.
-        if not self.items and not self._putters:
-            while self._getters:
-                getter = self._getters.popleft()
-                if not getter.triggered:
-                    getter.fail(StoreClosed("store closed while waiting"))
-
-    def _dispatch(self) -> None:
-        # Move items from putters into the buffer while capacity allows.
-        while self._putters and len(self.items) < self.capacity:
-            putter = self._putters.popleft()
-            self.items.append(putter.item)
-            putter.succeed()
-        # Hand buffered items to waiting getters.
-        while self._getters and self.items:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(self.items.popleft())
-            # Space may have been freed for putters.
-            while self._putters and len(self.items) < self.capacity:
-                putter = self._putters.popleft()
-                self.items.append(putter.item)
-                putter.succeed()
+        # Waiting getters imply an empty buffer: none can be satisfied.
+        while self._getters:
+            self._getters.popleft().fail(StoreClosed("store closed while waiting"))

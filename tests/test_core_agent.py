@@ -20,13 +20,13 @@ from repro.core import (
     parse_envelope,
     sign_request_target,
 )
-from repro.core.agent import MAX_PARTICIPANT_ID_CHARS
+from repro.core.agent import MAX_PARTICIPANT_ID_CHARS, OUTBOUND_ACTIONS_KEPT
 from repro.html import Text
 from repro.http import Headers, HttpClient, HttpRequest, HttpResponse
 from repro.net import LAN_PROFILE, Host, Network
 from repro.obs import FleetView, TelemetryDigest
 from repro.obs.fleet import render_fleet_view
-from repro.sim import AnyOf, Simulator
+from repro.sim import Simulator
 from repro.webserver import OriginServer, StaticSite
 
 
@@ -391,6 +391,30 @@ class TestRosterAndReuse:
         assert len(agent.participants) == 49
         assert builds == []
 
+    def test_a_silent_member_keeps_the_newest_outbound_actions(self):
+        """A member that joined and went silent holds at most
+        ``OUTBOUND_ACTIONS_KEPT`` queued actions, the newest, however
+        many the host broadcasts; a polling member's queue drains."""
+        sim, _host_browser, agent, client = build_world()
+
+        def scenario():
+            for member in ("silent", "active"):
+                yield from client.post(
+                    "http://host-pc:3000/poll", poll_body(member),
+                    content_type="application/json",
+                )
+
+        run(sim, scenario())
+        for tick in range(5000):
+            agent.broadcast_action(MouseMoveAction(tick, 0))
+            if tick % 100 == 0:
+                agent.participants["active"].outbound_actions = []
+        queue = agent.participants["silent"].outbound_actions
+        assert OUTBOUND_ACTIONS_KEPT == 1024
+        assert len(queue) == 1024
+        assert [action.x for action in queue] == list(range(5000 - 1024, 5000))
+        assert agent.stats["outbound_actions_dropped"] == 5000 - 1024
+
     def test_readers_share_one_roster_build_per_change(self):
         """An observer and the presence broadcast read one roster build
         per membership change, and see the payloads in join order."""
@@ -675,7 +699,16 @@ def send_raw(sim, intruder_host, session, wire, wait=5.0):
         connection = yield intruder_host.connect("h-pc", session.agent.port)
         yield connection.send(wire)
         reply = connection.recv()
-        yield AnyOf(sim, [reply, sim.timeout(wait)])
+        # The agent's hold idiom: the reply and a timer release one waiter.
+        waiter = sim.event()
+
+        def release(_event):
+            if not waiter.triggered:
+                waiter.succeed()
+
+        reply.callbacks.append(release)
+        sim.timeout(wait).callbacks.append(release)
+        yield waiter
         return reply.value if reply.triggered else b""
 
     return intrude
@@ -1072,6 +1105,28 @@ class TestHostileTelemetryDigests:
         assert intrude_with_body(sim, host, leaf, session, body) == [(200, 1), (200, 1)]
         assert session.fleet.member("honest") is None
         assert session.fleet.member("x") is None
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            ['{"id": "m%d", "c": {"polls": 1}}' % index for index in range(10000)],
+            [
+                '{"id": "*", "m": {%s}}'
+                % ", ".join('"mode-%d": 1' % index for index in range(10000))
+            ],
+        ],
+        ids=["ten-thousand-ids", "ten-thousand-modes"],
+    )
+    def test_one_poll_adds_at_most_a_cap_of_state(self, members):
+        sim, host, leaf, session = telemetry_world()
+        relay = session.relays["r"]
+        body = digest_poll(*members)
+        assert intrude_with_body(sim, host, leaf, session, body) == [(200, 1), (200, 1)]
+        fleet = session.fleet
+        assert fleet.member("m0") is None and fleet.member_count <= 3
+        assert set(fleet.totals().mode_polls) <= {"poll", "longpoll", "push"}
+        pending = relay.telemetry.unreported().totals()
+        assert set(pending.mode_polls) <= {"poll", "longpoll", "push"}
 
 
 #: Numbers Python's JSON decoder reads that no float or 64-bit count

@@ -10,14 +10,17 @@ trips, and the ClientTelemetry commit/rollback protocol that makes
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.transport import TRANSPORT_MODES
 from repro.obs import (
     FOLDED_ID,
     ClientTelemetry,
+    FleetView,
     LogBucketSketch,
     MemberDelta,
     TelemetryDigest,
     encoded_bytes,
 )
+from repro.obs.digest import DEEPEST_FOLD_BYTES, POLL_MODES
 
 
 def sketch_of(*values):
@@ -265,6 +268,76 @@ class TestTelemetryDigest:
         revived = TelemetryDigest.decode(blob)
         assert revived.totals().counters["polls"] == sum(polls)
         assert revived.totals().staleness.count == len(polls)
+
+
+def deepest_fold_blob(value=2**64 - 1, **extra):
+    """The encoder's deepest fold level with every integer at ``value``
+    and all three modes: the largest honest blob no cap shrinks."""
+    delta = MemberDelta(FOLDED_ID, weight=value)
+    delta.counters = dict.fromkeys(MemberDelta.COUNTERS, value)
+    delta.mode_polls = dict.fromkeys(POLL_MODES, value)
+    for sketch in (delta.apply, delta.staleness):
+        sketch.count = sketch.total = sketch.min_value = sketch.max_value = value
+    record = delta.to_dict(include_buckets=False)
+    record.update(extra)
+    return {"v": 1, "members": [record]}
+
+
+class TestAdmission:
+    """A sink admits at most a byte cap's worth of records per blob, and
+    only the modes the snippet records."""
+
+    def test_poll_modes_are_the_transport_modes(self):
+        assert POLL_MODES == TRANSPORT_MODES
+
+    def test_unknown_mode_does_not_decode(self):
+        with pytest.raises(ValueError):
+            MemberDelta.from_dict({"id": "m1", "m": {"carrier-pigeon": 1}})
+        assert MemberDelta.from_dict({"id": "m1", "m": {"push": 2}}).mode_polls == {"push": 2}
+
+    def test_deepest_fold_bound_is_exact(self):
+        assert encoded_bytes(deepest_fold_blob()) == DEEPEST_FOLD_BYTES
+
+    def test_deepest_fold_is_admitted_over_a_small_cap(self):
+        digest, size = TelemetryDigest.admit(deepest_fold_blob(), byte_cap=64)
+        assert size == DEEPEST_FOLD_BYTES
+        assert digest.members[FOLDED_ID].counters["polls"] == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            build_digest(40).encode(),
+            build_digest(40).fold().encode(),  # a fold that kept its buckets
+            deepest_fold_blob(pad="x" * 600),  # padded past the bound
+            {"v": 1, "members": deepest_fold_blob(1)["members"] * 2},
+        ],
+        ids=["member-records", "fold-with-buckets", "padded-fold", "two-folds"],
+    )
+    def test_over_cap_blob_is_one_ingest_error(self, blob):
+        assert encoded_bytes(blob) > 200
+        relay = ClientTelemetry("relay-1", byte_cap=200)
+        relay.ingest(blob)
+        assert relay.ingest_errors == 1 and relay.pending.is_empty
+        view = FleetView(byte_cap=200)
+        view.ingest(blob)
+        assert view.ingest_errors == 1 and view.digests_ingested == 0
+        assert view.member_count == 0 and view.totals().is_empty
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        polls=st.lists(st.integers(0, 2**40), min_size=1, max_size=40),
+        cap=st.integers(40, 4000),
+    )
+    def test_the_encoder_output_is_always_admitted(self, polls, cap):
+        digest = TelemetryDigest()
+        for index, count in enumerate(polls):
+            delta = digest.member("member-%03d" % index)
+            delta.bump("polls", count)
+            delta.mode_polls[POLL_MODES[index % 3]] = count
+            delta.staleness.record(count)
+            delta.apply.record(index)
+        admitted, _size = TelemetryDigest.admit(digest.encode(byte_cap=cap), cap)
+        assert admitted.totals().counters["polls"] == sum(polls)
 
 
 class TestClientTelemetry:

@@ -81,7 +81,8 @@ def test_store_preserves_fifo_order(items):
 
     def producer():
         for item in items:
-            yield store.put(("item", item))
+            store.put(("item", item))
+            yield sim.timeout(0)
 
     def consumer():
         for _ in items:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Interrupt,
     SimulationError,
     Simulator,
@@ -228,20 +227,6 @@ def test_yield_non_event_fails_process():
     assert isinstance(proc.value, RuntimeError)
 
 
-def test_any_of_triggers_on_first():
-    sim = Simulator()
-
-    def proc():
-        a = sim.timeout(5, "slow")
-        b = sim.timeout(1, "fast")
-        values = yield AnyOf(sim, [a, b])
-        return (sim.now, list(values.values()))
-
-    when, values = sim.run_until_complete(sim.process(proc()))
-    assert when == 1.0
-    assert values == ["fast"]
-
-
 def test_all_of_waits_for_every_event():
     sim = Simulator()
 
@@ -331,10 +316,13 @@ class TestCancel:
         wake = sim.event()
 
         def holder():
+            # The agent's hold idiom: the timer releases the same waiter
+            # a wake does, and the holder parks on the waiter alone.
             timer = sim.timeout(25.0)
             timer.callbacks.append(lambda _event: fired.append("timer"))
+            timer.callbacks.append(lambda _event: wake.triggered or wake.succeed())
             try:
-                yield AnyOf(sim, [wake, timer])
+                yield wake
             finally:
                 timer.cancel()
             return sim.now, timer

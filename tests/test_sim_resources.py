@@ -14,7 +14,7 @@ def test_store_put_then_get():
     store = Store(sim)
 
     def proc():
-        yield store.put("a")
+        store.put("a")
         value = yield store.get()
         return value
 
@@ -32,7 +32,7 @@ def test_store_get_blocks_until_put():
 
     def putter():
         yield sim.timeout(4)
-        yield store.put("late")
+        store.put("late")
 
     sim.process(getter())
     sim.process(putter())
@@ -47,7 +47,8 @@ def test_store_fifo_ordering():
 
     def producer():
         for i in range(5):
-            yield store.put(i)
+            store.put(i)
+            yield sim.timeout(0)
 
     def consumer():
         for _ in range(5):
@@ -60,34 +61,33 @@ def test_store_fifo_ordering():
     assert received == [0, 1, 2, 3, 4]
 
 
-def test_store_capacity_blocks_putter():
+def test_put_hands_items_to_waiting_getters_in_fifo_order():
     sim = Simulator()
-    store = Store(sim, capacity=1)
-    log = []
+    store = Store(sim)
+    received = []
 
-    def producer():
-        yield store.put("first")
-        log.append(("put-first", sim.now))
-        yield store.put("second")
-        log.append(("put-second", sim.now))
-
-    def consumer():
-        yield sim.timeout(10)
+    def getter(name):
         value = yield store.get()
-        log.append(("got", value, sim.now))
+        received.append((name, value, sim.now))
 
-    sim.process(producer())
-    sim.process(consumer())
+    for name in ("first", "second", "third"):
+        sim.process(getter(name))
+    sim.run()  # every getter is now parked
+
+    store.put("a")
+    store.put("b")
+    store.put("c")
+    assert len(store) == 0  # handed over, not buffered
     sim.run()
-    assert ("put-first", 0.0) in log
-    assert ("got", "first", 10.0) in log
-    assert ("put-second", 10.0) in log
+    assert received == [("first", "a", 0.0), ("second", "b", 0.0), ("third", "c", 0.0)]
 
 
-def test_store_invalid_capacity():
+def test_put_enqueues_at_once_and_schedules_no_event():
     sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
+    store = Store(sim)
+    assert store.put("a") is None
+    assert sim._queue == []
+    assert list(store.items) == ["a"]
 
 
 def test_closed_store_rejects_put():
