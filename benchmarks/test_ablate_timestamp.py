@@ -1,10 +1,11 @@
 """Ablation: the timestamp mechanism (paper §4.1.1).
 
 RCB-Agent keeps a timestamp for the latest content and only answers a
-poll with content the participant has not seen.  The baseline disables
-this (every poll gets the full envelope).  Measured on an idle session
-showing a large page: the timestamp protocol collapses steady-state
-traffic to empty keep-alive responses.
+poll with content the participant has not seen.  The baseline is a
+participant that never acknowledges what it holds: it polls with
+timestamp 0, so every poll gets the full envelope.  Measured on an idle
+session showing a large page: the timestamp protocol collapses
+steady-state traffic to empty keep-alive responses.
 """
 
 from repro.core import CoBrowsingSession
@@ -16,10 +17,19 @@ IDLE_WINDOW = 30.0
 SITE = "yahoo.com"  # the second-largest page: worst case for resending
 
 
-def measure(always_resend):
+def never_acknowledge(snippet):
+    """Keep ``snippet`` polling with timestamp 0, whatever it applies."""
+
+    def forget(_content):
+        snippet.last_doc_time = 0
+
+    snippet.last_doc_time = 0
+    snippet.on_content = forget
+
+
+def measure(acknowledge):
     testbed = build_lan()
     session = CoBrowsingSession(testbed.host_browser, poll_interval=1.0)
-    session.agent.always_resend = always_resend
     sim = testbed.sim
     outcome = {}
 
@@ -27,6 +37,8 @@ def measure(always_resend):
         snippet = yield from session.join(testbed.participant_browser)
         yield from session.host_navigate("http://%s/" % SITE)
         yield from session.wait_until_synced()
+        if not acknowledge:
+            never_acknowledge(snippet)
 
         bytes_before = testbed.host_browser.host.link.up.bytes_carried
         responses_before = session.agent.stats["content_responses"]
@@ -46,7 +58,7 @@ def measure(always_resend):
 
 def test_timestamp_dedup_vs_resend(benchmark, results_dir):
     def both():
-        return measure(always_resend=False), measure(always_resend=True)
+        return measure(acknowledge=True), measure(acknowledge=False)
 
     with_timestamp, resend = benchmark.pedantic(both, rounds=1, iterations=1)
 

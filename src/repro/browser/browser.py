@@ -56,6 +56,8 @@ _OBJECT_LINK_RELS = frozenset(("stylesheet", "icon", "shortcut icon"))
 #: without being memoized, so the memo stays bounded in bytes as well as
 #: in entries.
 _MEMO_REFERENCE_LIMIT = 2048
+#: Parallel object fetches per page load (the 2-connections-per-host era).
+_MAX_PARALLEL_FETCHES = 2
 
 
 def object_attribute(element: Element) -> Optional[str]:
@@ -134,22 +136,14 @@ class BrowserExtension:
 class Browser:
     """A user's web browser instance."""
 
-    def __init__(
-        self,
-        host: Host,
-        name: Optional[str] = None,
-        javascript_enabled: bool = True,
-        max_parallel_fetches: int = 2,  # the 2-connections-per-host era
-        cache_max_bytes: int = 50 * 1024 * 1024,
-    ):
+    def __init__(self, host: Host, name: Optional[str] = None):
         self.host = host
         self.sim: Simulator = host.sim
         self.name = name or ("browser@" + host.name)
-        self.javascript_enabled = javascript_enabled
-        self.max_parallel_fetches = max(1, max_parallel_fetches)
+        self.javascript_enabled = True
         self.cookie_jar = CookieJar()
         self.client = HttpClient(host, cookie_jar=self.cookie_jar)
-        self.cache = BrowserCache(max_bytes=cache_max_bytes)
+        self.cache = BrowserCache()
         self.observers = ObserverService()
         self.history: List[str] = []
         self._history_index = -1
@@ -232,7 +226,7 @@ class Browser:
             return
         started = self.sim.now
         queue: List[str] = list(urls)
-        worker_count = min(self.max_parallel_fetches, len(queue))
+        worker_count = min(_MAX_PARALLEL_FETCHES, len(queue))
         workers = [
             self.sim.process(self._object_worker(page, queue))
             for _ in range(worker_count)
@@ -368,7 +362,7 @@ class Browser:
         self.page.version += 1
         self.observers.notify(TOPIC_DOCUMENT_CHANGED, self.page)
 
-    def ajax_request(self, method: str, url: Union[str, Url], body: bytes = b""):
+    def ajax_request(self, method: str, url: Union[str, Url]):
         """Issue an XMLHttpRequest-style background request.
 
         Generator process returning the :class:`HttpResponse`; does not
@@ -378,12 +372,12 @@ class Browser:
             url = parse_url(url)
         if not url.is_absolute and self.page is not None:
             url = resolve_url(self.page.url, url)
-        response = yield from self.client.request(method, url, body=body)
+        response = yield from self.client.request(method, url)
         return response
 
     # -- user interaction ------------------------------------------------------------
 
-    def dispatch_event(self, element: Element, event_type: str, event=None) -> Optional[bool]:
+    def dispatch_event(self, element: Element, event_type: str) -> Optional[bool]:
         """Fire an event at an element, running its on-attribute handler.
 
         Returns the handler result (False cancels the default action) or
@@ -397,7 +391,7 @@ class Browser:
         )
         if expression is None or not expression.strip() or not self.javascript_enabled:
             return None
-        return self.page.scripts.invoke_attribute(expression, element, event)
+        return self.page.scripts.invoke_attribute(expression, element)
 
     def click_link(self, anchor: Element):
         """Click an <a>: run onclick, then follow href unless cancelled.

@@ -4,14 +4,14 @@ The real RCB rewrites ``onclick``/``onsubmit`` attribute values to call
 JavaScript functions that live in Ajax-Snippet (paper §4.1.2, step 4).
 In the simulation, an event-attribute value is a call expression like
 ``rcbSubmit(this)`` and the engine resolves the function name against a
-registry of Python callables.  Handlers are invoked with
-``(element, event)``; a handler returning False cancels the default
-action (exactly the semantics form interception needs).
+registry of Python callables.  Handlers are invoked with the
+element; a handler returning False cancels the default action (exactly
+the semantics form interception needs).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict
 
 __all__ = ["ScriptEngine", "ScriptError", "parse_call_expression"]
 
@@ -50,7 +50,7 @@ class ScriptEngine:
             raise TypeError("handler must be callable")
         self._functions[name] = function
 
-    def invoke_attribute(self, expression: str, element, event: Optional[Any] = None):
+    def invoke_attribute(self, expression: str, element):
         """Run the handler named in an event-attribute expression.
 
         Returns the handler's return value (False means "cancel default").
@@ -60,4 +60,4 @@ class ScriptEngine:
         if function is None:
             raise ScriptError("no handler registered for %r" % (name,))
         self.calls_made += 1
-        return function(element, event)
+        return function(element)

@@ -77,6 +77,7 @@ from .transport import (
 )
 from .xmlformat import (
     EMPTY_ACTIONS_WIRE,
+    SNIPPET_SCRIPT_ID,
     WireTemplate,
     js_escape,
     wire_delta_template,
@@ -89,9 +90,6 @@ AGENT_DEFAULT_PORT = 3000
 
 #: Observer topic fired on the host browser when participants join/leave.
 TOPIC_ROSTER_CHANGED = "rcb-roster-changed"
-
-#: Snippet source marker embedded in the initial page's head.
-_SNIPPET_SCRIPT_ID = "ajax-snippet"
 
 #: Pre-normalized header pair for poll responses (hot serve path).
 _XML_CONTENT_TYPE = ("Content-Type", "application/xml; charset=utf-8")
@@ -168,7 +166,6 @@ class RCBAgent(BrowserExtension):
         secret: Optional[str] = None,
         poll_interval: float = 1.0,
         transport=None,
-        always_resend: bool = False,
         replicate_cookies: bool = False,
         generation_cost_per_kb: float = 0.0,
         announce_presence: bool = False,
@@ -207,9 +204,6 @@ class RCBAgent(BrowserExtension):
         #: :meth:`transport_mode_for` reports without an override).
         self._member_mode_seen: Dict[str, str] = {}
         self._held_open = 0
-        #: Ablation: disable the timestamp protocol and resend the full
-        #: content on every poll.
-        self.always_resend = always_resend
         #: Extension feature (paper §4.1.2 notes RCB-Agent "can be
         #: extended" to replicate cookies): ship the host's cookies for
         #: the co-browsed origin so participants' non-cache-mode object
@@ -614,7 +608,7 @@ class RCBAgent(BrowserExtension):
             "<p id='rcb-welcome'>Connected to an RCB co-browsing session. "
             "Waiting for the host's first page...</p>%s"
             "</body></html>"
-        ) % (_SNIPPET_SCRIPT_ID, self.poll_interval, secret_field)
+        ) % (SNIPPET_SCRIPT_ID, self.poll_interval, secret_field)
         return html_response(page)
 
     # -- object requests (cache mode) ----------------------------------------------------------
@@ -720,17 +714,16 @@ class RCBAgent(BrowserExtension):
             holds.append((yield from self._hold_for_change(participant, granted.hold_timeout)))
             outbound = participant.outbound_actions
         response = None
-        if self.browser is not None and self.browser.page is not None and (
-            self.always_resend or self._doc_time > their_time
+        if (
+            self.browser is not None
+            and self.browser.page is not None
+            and self._doc_time > their_time
         ):
             # Step 3: response sending, with new content — a delta
             # envelope when this participant's acknowledged state is
-            # still in the snapshot ring, the full envelope otherwise
-            # (always, under the always-resend ablation).
+            # still in the snapshot ring, the full envelope otherwise.
             base = self._doc_time
-            body, is_delta = yield from self._serve_content(
-                participant, their_time, force_full=self.always_resend
-            )
+            body, is_delta = yield from self._serve_content(participant, their_time)
             kind = "delta" if is_delta else "full"
             if holds and granted.max_envelopes > 1:
                 # Streamed push: linger for follow-up changes and ship
@@ -756,9 +749,7 @@ class RCBAgent(BrowserExtension):
                     if self.browser is None or self._doc_time <= base:
                         break
                     served_time = self._doc_time
-                    body, is_delta = yield from self._serve_content(
-                        participant, base, force_full=self.always_resend
-                    )
+                    body, is_delta = yield from self._serve_content(participant, base)
                     bodies.append(body)
                     base = served_time
                 body = merge_wire_bodies(bodies)
@@ -1169,25 +1160,21 @@ class RCBAgent(BrowserExtension):
         return entry
 
     def _serve_body(
-        self,
-        participant_id: str,
-        their_time: int,
-        actions: List[UserAction],
-        force_full: bool = False,
+        self, participant_id: str, their_time: int, actions: List[UserAction]
     ) -> Tuple[WirePlan, bool]:
         """The poll body for one participant: ``(WirePlan, is_delta)``.
 
         A delta plan when the participant's acknowledged ``their_time``
         is still in the snapshot ring and the diff is strictly smaller
         than the full envelope; the full plan in every other case —
-        ``force_full``, delta disabled, brand-new participant, evicted
-        snapshot, or an edit so large the diff loses.  Either way the
+        delta disabled, brand-new participant, evicted snapshot, or an
+        edit so large the diff loses.  Either way the
         page-sized bytes are shared by every co-due member; only the
         userActions payload is spliced per member.
         """
         mode_key = self.cache_policy.mode_key(participant_id)
         plan = self._full_plan(participant_id, mode_key)
-        if not force_full and self.enable_delta and their_time > 0:
+        if self.enable_delta and their_time > 0:
             # Inlined hit path: a built delta plan for this base is a
             # single dict probe away (the common case for co-due polls).
             entry = self._plans.get((their_time, mode_key))
@@ -1208,7 +1195,7 @@ class RCBAgent(BrowserExtension):
         body = plan.personalize(self._actions_wire(actions) if actions else None)
         return body, plan.is_delta
 
-    def _serve_content(self, participant: ParticipantState, their_time: int, force_full=False):
+    def _serve_content(self, participant: ParticipantState, their_time: int):
         """Serve one content envelope, draining the member's queued
         outbound actions into it, and count it: response kind, bytes,
         and the device's generation CPU when this serve ran generation.
@@ -1217,9 +1204,7 @@ class RCBAgent(BrowserExtension):
         """
         actions, participant.outbound_actions = participant.outbound_actions, []
         generations_before = self._generation_count
-        body, is_delta = self._serve_body(
-            participant.participant_id, their_time, actions, force_full=force_full
-        )
+        body, is_delta = self._serve_body(participant.participant_id, their_time, actions)
         size = len(body)
         if is_delta:
             self._delta_responses.value += 1

@@ -55,7 +55,13 @@ from ..html.parser import _SELF_CLOSING_SIBLINGS
 from ..html.serializer import SegmentCache, serialize_children, transform_children_cached
 from ..http import quote
 from ..net.url import Url, UrlError, parse_url, resolve_url
-from .xmlformat import PAYLOAD_SUFFIX, head_child_prefix, payload_encode, top_element_prefix
+from .xmlformat import (
+    PAYLOAD_SUFFIX,
+    SECTION_NAMES,
+    head_child_prefix,
+    payload_encode,
+    top_element_prefix,
+)
 
 __all__ = ["ContentGenerator", "GeneratedContent", "OBJECT_URL_ATTRIBUTES", "AGENT_OBJECT_PATH"]
 
@@ -218,15 +224,18 @@ class _GenPass:
         self.segments_total = 0
 
 
+#: Entries the (base_url, raw) -> absolute URL memo keeps.
+_URL_MEMO_SIZE = 4096
+
+
 class ContentGenerator:
     """Implements the Fig. 3 response content generation procedure."""
 
-    def __init__(self, agent_object_path: str = AGENT_OBJECT_PATH, url_cache_size: int = 4096):
+    def __init__(self, agent_object_path: str = AGENT_OBJECT_PATH):
         self.agent_object_path = agent_object_path
         self.generations = 0
         #: LRU memo for (base_url, raw) -> absolute resolution.
         self._url_memo: "OrderedDict[Tuple[str, str], Optional[str]]" = OrderedDict()
-        self._url_cache_size = url_cache_size
         self.url_cache_hits = 0
         #: Serialized-subtree cache shared by this generator's runs.
         self.segment_cache = SegmentCache()
@@ -309,7 +318,7 @@ class ContentGenerator:
                 for head_child in child.children:
                     head_segments.append(self._segment(head_child, True, gen))
                     head_clones.append(head_child)
-            elif child.tag in ("body", "frameset", "noframes"):
+            elif child.tag in SECTION_NAMES:
                 top_segments.append((child.tag, self._segment(child, False, gen)))
                 top_clones.append(child)
 
@@ -622,7 +631,7 @@ class ContentGenerator:
         except UrlError:
             absolute = None
         memo[key] = absolute
-        if len(memo) > self._url_cache_size:
+        if len(memo) > _URL_MEMO_SIZE:
             memo.popitem(last=False)
         return absolute
 

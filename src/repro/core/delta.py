@@ -55,18 +55,14 @@ from ..html import Comment, Element, Text
 from ..html.dom import Node, _ParentNode
 from ..html.parser import parse_fragment
 from ..html.serializer import SegmentCache, serialize_node_cached
-from .xmlformat import NewContent
+from .xmlformat import SECTION_NAMES, NewContent
 
 __all__ = [
     "DeltaError",
-    "SECTION_NAMES",
     "apply_delta",
     "content_tree",
     "diff_trees",
 ]
-
-#: Top-level sections an op may address (besides ``head``).
-SECTION_NAMES = ("body", "frameset", "noframes")
 
 
 class DeltaError(Exception):

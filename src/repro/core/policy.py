@@ -10,8 +10,6 @@ here use.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .actions import UserAction
 
 __all__ = [
@@ -70,12 +68,11 @@ class ObserveOnlyPolicy(ModerationPolicy):
 class ConfirmPolicy(ModerationPolicy):
     """Actions are held until the host inspects and confirms them."""
 
-    def __init__(self, auto_apply_kinds: Tuple[str, ...] = ("mousemove", "scroll")):
-        #: Pointer/scroll mirroring is cosmetic and never needs approval.
-        self.auto_apply_kinds = frozenset(auto_apply_kinds)
+    #: Pointer/scroll mirroring is cosmetic and never needs approval.
+    _AUTO_APPLY_KINDS = frozenset(("mousemove", "scroll"))
 
     def decide(self, participant_id: str, action: UserAction) -> str:
         """Return APPLY, HOLD, or DROP for this action."""
-        if action.kind in self.auto_apply_kinds:
+        if action.kind in self._AUTO_APPLY_KINDS:
             return self.APPLY
         return self.HOLD

@@ -80,16 +80,13 @@ class RelayAgent(RCBAgent):
         port: int = AGENT_DEFAULT_PORT,
         secret: Optional[str] = None,
         relay_id: Optional[str] = None,
-        poll_interval: Optional[float] = None,
         browser_type: str = "firefox",
         fetch_objects: bool = True,
-        cache_mode: bool = True,
         enable_delta: bool = True,
         delta_history: int = 8,
         transport=None,
         poll_backoff: Optional[BackoffPolicy] = None,
         reattach_backoff: Optional[BackoffPolicy] = None,
-        fallback_urls: Optional[List[str]] = None,
         on_reattach: Optional[Callable[["RelayAgent", str], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
@@ -97,11 +94,11 @@ class RelayAgent(RCBAgent):
         attribution=None,
         telemetry=None,
     ):
+        # The inherited ``poll_interval`` is a placeholder until
+        # connect_upstream adopts the upstream's advertised cadence.
         super().__init__(
             port=port,
-            cache_mode=cache_mode,
             secret=secret,
-            poll_interval=poll_interval if poll_interval is not None else 1.0,
             enable_delta=enable_delta,
             delta_history=delta_history,
             transport=transport,
@@ -119,9 +116,6 @@ class RelayAgent(RCBAgent):
         #: This relay's participant id at its upstream (defaults to the
         #: browser name once installed).
         self.relay_id = relay_id
-        #: Whether ``poll_interval`` was given or should be adopted from
-        #: the upstream's advertisement on first connect.
-        self._adopt_interval = poll_interval is None
         self.browser_type = browser_type
         self.fetch_objects = fetch_objects
         #: Retry pacing for the upstream snippet's failed polls.
@@ -136,8 +130,8 @@ class RelayAgent(RCBAgent):
             base=0.5, cap=8.0, jitter=0.25, multiplier=2.0, seed=0
         )
         #: Ancestor URLs tried on upstream death: grandparent first,
-        #: the root agent as last resort.
-        self.fallback_urls: List[str] = list(fallback_urls or [])
+        #: the root agent as last resort (see :meth:`set_fallbacks`).
+        self.fallback_urls: List[str] = []
         #: Called with ``(relay, new_upstream_url)`` after a successful
         #: re-attachment (the session uses this to update its tree).
         self.on_reattach = on_reattach
@@ -191,9 +185,8 @@ class RelayAgent(RCBAgent):
             raise RuntimeError("install the relay on a browser first")
         snippet = self._make_snippet(self.upstream_url, first=True)
         page = yield from snippet.connect()
-        if self._adopt_interval:
-            # Tiers inherit the root's advertised polling cadence.
-            self.poll_interval = snippet.poll_interval
+        # Tiers inherit the root's advertised polling cadence.
+        self.poll_interval = snippet.poll_interval
         self._adopt_snippet(snippet, self.upstream_url)
         return page
 
@@ -212,7 +205,7 @@ class RelayAgent(RCBAgent):
             url,
             participant_id=self.relay_id,
             secret=self.secret,
-            poll_interval=None if (first and self._adopt_interval) else self.poll_interval,
+            poll_interval=None if first else self.poll_interval,
             browser_type=self.browser_type,
             fetch_objects=self.fetch_objects,
             backoff=self.poll_backoff,

@@ -48,6 +48,10 @@ from .transport import AdaptiveTransportController
 
 __all__ = ["CoBrowsingSession", "SessionError"]
 
+#: Orphan re-attachment pacing after a relay death: exponential from
+#: 0.5 s to 8 s with ±25% jitter (each relay derives its own stream).
+_REATTACH_BACKOFF = BackoffPolicy(base=0.5, cap=8.0, jitter=0.25, multiplier=2.0)
+
 #: Tree-node id of the host agent (never a participant id: those default
 #: to browser host names, which are non-empty).
 _ROOT = ""
@@ -89,7 +93,6 @@ class CoBrowsingSession:
         policy: Optional[ModerationPolicy] = None,
         secret: Optional[str] = None,
         poll_interval: float = 1.0,
-        agent: Optional[RCBAgent] = None,
         enable_delta: bool = True,
         transport=None,
         backoff: Optional[BackoffPolicy] = None,
@@ -107,32 +110,21 @@ class CoBrowsingSession:
         # byte-identical to the seed wire format.
         if telemetry is not None and not isinstance(telemetry, FleetView):
             telemetry = FleetView() if telemetry else None
-        if agent is None:
-            agent = RCBAgent(
-                port=port,
-                cache_mode=cache_mode,
-                policy=policy,
-                secret=secret,
-                poll_interval=poll_interval,
-                enable_delta=enable_delta,
-                transport=transport,
-                metrics=metrics,
-                tracer=tracer,
-                metrics_node=host_browser.name,
-                events=events,
-                attribution=attribution,
-                telemetry=telemetry,
-            )
-        else:
-            if tracer is not None and agent.tracer is None:
-                agent.tracer = tracer
-            if events is not None and agent.events is None:
-                agent.events = events
-            if attribution is not None and agent.attribution is None:
-                agent.attribution = attribution
-            if telemetry is not None and agent.telemetry is None:
-                agent.telemetry = telemetry
-        self.agent = agent
+        self.agent = RCBAgent(
+            port=port,
+            cache_mode=cache_mode,
+            policy=policy,
+            secret=secret,
+            poll_interval=poll_interval,
+            enable_delta=enable_delta,
+            transport=transport,
+            metrics=metrics,
+            tracer=tracer,
+            metrics_node=host_browser.name,
+            events=events,
+            attribution=attribution,
+            telemetry=telemetry,
+        )
         #: The session-wide registry/tracer/event-bus/byte-sink every
         #: member publishes into.
         self.metrics = self.agent.metrics
@@ -165,7 +157,6 @@ class CoBrowsingSession:
 
         self.branching: Optional[int] = None
         self._relay_port = AGENT_DEFAULT_PORT
-        self._reattach_backoff: Optional[BackoffPolicy] = None
         self._tree_rng: Optional[random.Random] = None
         self._nodes: Dict[str, _TreeNode] = {}
         self._join_order = 0
@@ -176,7 +167,6 @@ class CoBrowsingSession:
         self,
         branching: int = 4,
         relay_port: int = AGENT_DEFAULT_PORT,
-        backoff: Optional[BackoffPolicy] = None,
         seed: Optional[int] = None,
     ) -> None:
         """Switch joins to cascaded-relay mode.
@@ -185,12 +175,11 @@ class CoBrowsingSession:
         :class:`~repro.core.relay.RelayAgent` on the participant's
         browser and attaches it to the least-loaded node with a free
         slot, so no node — the host included — ever serves more than
-        ``branching`` direct children.  ``backoff`` paces orphan
-        re-attachment after a relay death (default: exponential from
-        0.5 s to 8 s with ±25% jitter).  ``seed`` makes attach-point
-        tie-breaking draw from a fixed RNG stream instead of join
-        order, so scale benchmarks get reproducible-but-unbiased tree
-        shapes; None keeps the earliest-joined rule.
+        ``branching`` direct children.  Orphans re-attach after a relay
+        death with :data:`_REATTACH_BACKOFF`.  ``seed`` makes
+        attach-point tie-breaking draw from a fixed RNG stream instead
+        of join order, so scale benchmarks get reproducible-but-unbiased
+        tree shapes; None keeps the earliest-joined rule.
         """
         if branching < 1:
             raise SessionError("branching must be at least 1")
@@ -199,9 +188,6 @@ class CoBrowsingSession:
         self.branching = branching
         self._tree_rng = random.Random(seed) if seed is not None else None
         self._relay_port = relay_port
-        self._reattach_backoff = backoff or BackoffPolicy(
-            base=0.5, cap=8.0, jitter=0.25, multiplier=2.0
-        )
         self._nodes[_ROOT] = _TreeNode(_ROOT, self.agent.url, None, 0, 0)
         self._join_order = 1
 
@@ -289,7 +275,7 @@ class CoBrowsingSession:
             delta_history=self.agent.delta_history,
             transport=self.agent.transport.mode,
             poll_backoff=self._derive_backoff(member_id),
-            reattach_backoff=self._reattach_backoff.derive(member_id),
+            reattach_backoff=_REATTACH_BACKOFF.derive(member_id),
             on_reattach=self._on_relay_reattach,
             metrics=self.metrics,
             tracer=self.tracer,

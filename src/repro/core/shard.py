@@ -276,9 +276,6 @@ class AgentPool:
         self,
         session,
         shards: int = 4,
-        replicas: int = 64,
-        load_factor: float = 1.25,
-        seed: int = 0,
         relay_port: int = AGENT_DEFAULT_PORT,
         segment: str = "shards",
     ):
@@ -289,9 +286,7 @@ class AgentPool:
         self.shards = shards
         self.relay_port = relay_port
         self.segment = segment
-        self.directory = SessionDirectory(
-            replicas=replicas, load_factor=load_factor, seed=seed
-        )
+        self.directory = SessionDirectory()
         #: Live shard instances (empty in the single-shard passthrough).
         self.relays: Dict[str, RelayAgent] = {}
         #: Real (browser-backed) member channels this pool manages.
@@ -430,13 +425,7 @@ class AgentPool:
         the fleet view's per-shard rollup resolver."""
         return self.directory.assignments.get(member_id)
 
-    def join_browser(
-        self,
-        participant_browser: Browser,
-        participant_id: Optional[str] = None,
-        browser_type: str = "firefox",
-        fetch_objects: bool = True,
-    ):
+    def join_browser(self, participant_browser: Browser, participant_id: Optional[str] = None):
         """Generator: a real participant joins through the directory.
 
         Mirrors :meth:`~repro.core.session.CoBrowsingSession.join`
@@ -452,8 +441,6 @@ class AgentPool:
             target.url,
             participant_id=member_id,
             secret=target.secret,
-            browser_type=browser_type,
-            fetch_objects=fetch_objects,
             backoff=self.session._derive_backoff(member_id),
             transport=self.session.agent.transport.mode,
             metrics=self.session.metrics,

@@ -53,11 +53,9 @@ from .content import REF_ATTRIBUTE
 from .delta import DeltaError, apply_delta, delta_instruments
 from .security import Authenticator
 from .transport import TRANSPORT_HEADER, TRANSPORT_MODES, TRANSPORT_POLL, coerce_transport_mode
-from .xmlformat import EnvelopeError, NewContent, parse_envelope
+from .xmlformat import SECTION_NAMES, SNIPPET_SCRIPT_ID, EnvelopeError, NewContent, parse_envelope
 
 __all__ = ["AjaxSnippet", "BackoffPolicy", "SnippetStats"]
-
-_SNIPPET_SCRIPT_ID = "ajax-snippet"
 
 #: Delta op kinds that change only character data, which object
 #: discovery never reads: a delta made of these alone keeps the page's
@@ -80,7 +78,7 @@ def _lift_snippet_script(document: Document) -> Optional[Element]:
     head = document.head
     if head is not None:
         for node in head.children:
-            if node.tag == "script" and node.get_attribute("id") == _SNIPPET_SCRIPT_ID:
+            if node.tag == "script" and node.get_attribute("id") == SNIPPET_SCRIPT_ID:
                 head.remove_child(node)
                 return node
     return None
@@ -353,7 +351,7 @@ class AjaxSnippet:
         polling loop is started but not yet fired).
         """
         page = yield from self.browser.navigate(str(self.agent_url), fetch_objects=False)
-        script = page.document.get_element_by_id(_SNIPPET_SCRIPT_ID)
+        script = page.document.get_element_by_id(SNIPPET_SCRIPT_ID)
         if script is None:
             raise RuntimeError("%s did not serve an RCB initial page" % self.agent_url)
         if self.poll_interval is None:
@@ -749,13 +747,13 @@ class AjaxSnippet:
             if (
                 isinstance(node, Element)
                 and node.tag == "script"
-                and node.get_attribute("id") == _SNIPPET_SCRIPT_ID
+                and node.get_attribute("id") == SNIPPET_SCRIPT_ID
             ):
                 snippet_script = node
                 continue
             head.remove_child(node)
         if snippet_script is None:  # recreate if the host page lost it
-            snippet_script = Element("script", {"id": _SNIPPET_SCRIPT_ID})
+            snippet_script = Element("script", {"id": SNIPPET_SCRIPT_ID})
             head.insert_before(snippet_script, head.first_child)
 
         # Step 2: set the head from the received hChild records.
@@ -775,7 +773,7 @@ class AjaxSnippet:
         # Step 3: remove top-level elements the new content obsoletes.
         new_names = {top.name for top in content.top_elements}
         for node in list(html.children):
-            if node.tag in ("body", "frameset", "noframes") and node.tag not in new_names:
+            if node.tag in SECTION_NAMES and node.tag not in new_names:
                 html.remove_child(node)
 
         # Step 4: set the remaining top elements, in received order.
@@ -842,22 +840,22 @@ class AjaxSnippet:
         scripts.register("rcbSubmit", self._on_submit)
         scripts.register("rcbClick", self._on_click)
         scripts.register("rcbInput", self._on_input)
-        scripts.register("rcbKeySubmit", lambda el, ev: False)
+        scripts.register("rcbKeySubmit", lambda element: False)
 
-    def _on_submit(self, form: Element, _event) -> bool:
+    def _on_submit(self, form: Element) -> bool:
         ref = form.get_attribute(REF_ATTRIBUTE)
         if ref:
             fields = Browser.collect_form_fields(form)
             self.queue_action(SubmitAction(ref, fields))
         return False  # never navigate the participant browser
 
-    def _on_click(self, element: Element, _event) -> bool:
+    def _on_click(self, element: Element) -> bool:
         ref = element.get_attribute(REF_ATTRIBUTE)
         if ref:
             self.queue_action(ClickAction(ref))
         return False
 
-    def _on_input(self, element: Element, _event) -> bool:
+    def _on_input(self, element: Element) -> bool:
         ref = self._enclosing_form_ref(element)
         name = element.get_attribute("name")
         if ref and name:

@@ -65,6 +65,8 @@ __all__ = [
     "js_escape",
     "js_unescape",
     "EnvelopeError",
+    "SECTION_NAMES",
+    "SNIPPET_SCRIPT_ID",
     "WireTemplate",
     "wire_envelope_template",
     "wire_delta_template",
@@ -72,6 +74,19 @@ __all__ = [
     "WIRE_ACTIONS_OPEN",
     "WIRE_ACTIONS_CLOSE",
 ]
+
+#: The id of Ajax-Snippet's own ``<script>`` in the initial page's head;
+#: a participant lifts it out around every update, so no envelope
+#: section ever touches it.
+SNIPPET_SCRIPT_ID = "ajax-snippet"
+
+#: The envelope's top-level sections, in document order, and the
+#: element each one rides in.
+_TOP_TAG_NAMES = {"body": "docBody", "frameset": "docFrameSet", "noframes": "docNoFrames"}
+_TOP_NAME_TAGS = {v: k for k, v in _TOP_TAG_NAMES.items()}
+#: Top-level sections an envelope (or a delta op) may carry, besides
+#: ``head``.
+SECTION_NAMES = tuple(_TOP_TAG_NAMES)
 
 #: Characters JavaScript's escape() leaves unencoded.
 _JS_SAFE = frozenset(
@@ -210,7 +225,7 @@ class TopElement:
     __slots__ = ("name", "attributes", "inner_html")
 
     def __init__(self, name: str, attributes: List[Tuple[str, str]], inner_html: str):
-        if name not in ("body", "frameset", "noframes"):
+        if name not in SECTION_NAMES:
             raise EnvelopeError("unsupported top element %r" % (name,))
         self.name = name
         self.attributes = list(attributes)
@@ -289,10 +304,6 @@ class NewContent:
             len(self.head_children),
             "+".join(t.name for t in self.top_elements) or "empty",
         )
-
-
-_TOP_TAG_NAMES = {"body": "docBody", "frameset": "docFrameSet", "noframes": "docNoFrames"}
-_TOP_NAME_TAGS = {v: k for k, v in _TOP_TAG_NAMES.items()}
 
 
 def head_child_payload(child: HeadChild) -> str:

@@ -106,6 +106,13 @@ def _serialize_into(node: Node, parts: List[str], raw: bool) -> None:
 # -- segment cache -----------------------------------------------------------------
 
 
+#: A :class:`SegmentCache` keeps at most this many entries and bytes.
+_SEGMENT_CAPACITY = 2048
+_SEGMENT_MAX_BYTES = 16 * 1024 * 1024
+#: Shorter serializations are not worth an entry.
+_SEGMENT_MIN_LENGTH = 32
+
+
 class SegmentCache:
     """LRU of serialized element subtrees keyed by ``(id, subtree_version)``.
 
@@ -113,16 +120,11 @@ class SegmentCache:
     only affects Text nodes directly, and an element derives its
     children's flag from its own tag), so entries can be reused at any
     position in any tree.  Bounded both by entry count and total cached
-    bytes; strings shorter than ``min_length`` are not worth an entry.
+    bytes; strings shorter than :data:`_SEGMENT_MIN_LENGTH` are not
+    worth an entry.
     """
 
-    def __init__(self, capacity: int = 2048, max_bytes: int = 16 * 1024 * 1024,
-                 min_length: int = 32):
-        if capacity <= 0 or max_bytes <= 0:
-            raise ValueError("capacity and max_bytes must be positive")
-        self.capacity = capacity
-        self.max_bytes = max_bytes
-        self.min_length = min_length
+    def __init__(self):
         self._entries: "OrderedDict[tuple, str]" = OrderedDict()
         self.current_bytes = 0
         self.hits = 0
@@ -145,7 +147,7 @@ class SegmentCache:
 
     def put(self, node: Element, text: str) -> None:
         """Retain a serialization (no-op below the length threshold)."""
-        if len(text) < self.min_length:
+        if len(text) < _SEGMENT_MIN_LENGTH:
             return
         key = (id(node), node._subtree_version)
         existing = self._entries.pop(key, None)
@@ -154,7 +156,7 @@ class SegmentCache:
         self._entries[key] = text
         self.current_bytes += len(text)
         while self._entries and (
-            len(self._entries) > self.capacity or self.current_bytes > self.max_bytes
+            len(self._entries) > _SEGMENT_CAPACITY or self.current_bytes > _SEGMENT_MAX_BYTES
         ):
             _key, evicted = self._entries.popitem(last=False)
             self.current_bytes -= len(evicted)

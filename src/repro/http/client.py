@@ -13,7 +13,7 @@ from typing import Dict, Optional, Union
 
 from ..net.socket import Host, Connection, NetworkError
 from ..net.url import Url, parse_url
-from ..sim import StoreClosed
+from ..sim import Interrupt, StoreClosed
 from .cookies import CookieJar
 from .message import Headers, HttpError, HttpRequest
 from .parser import ResponseParser
@@ -48,10 +48,9 @@ class HttpClient:
         """Issue a GET (generator process returning the response)."""
         return self.request("GET", url, headers=headers)
 
-    def post(self, url: Union[str, Url], body: bytes, content_type: str = "application/x-www-form-urlencoded", headers: Optional[Headers] = None, dedicated: bool = False):
+    def post(self, url: Union[str, Url], body: bytes, content_type: str = "application/x-www-form-urlencoded", dedicated: bool = False):
         """Issue a POST with a body (generator process)."""
-        headers = headers.copy() if headers else Headers()
-        headers.set("Content-Type", content_type)
+        headers = Headers([("Content-Type", content_type)])
         return self.request("POST", url, headers=headers, body=body, dedicated=dedicated)
 
     def request(
@@ -157,12 +156,20 @@ class HttpClient:
         return _PooledConnection(connection)
 
     def _exchange(self, pooled: _PooledConnection, request: HttpRequest):
-        yield pooled.connection.send(request.to_bytes())
-        self.requests_sent += 1
-        while True:
-            chunk = yield pooled.connection.recv()
-            responses = pooled.parser.feed(chunk)
-            if responses:
-                if len(responses) > 1:
-                    raise HttpError("server sent pipelined responses unexpectedly")
-                return responses[0]
+        try:
+            yield pooled.connection.send(request.to_bytes())
+            self.requests_sent += 1
+            while True:
+                chunk = yield pooled.connection.recv()
+                responses = pooled.parser.feed(chunk)
+                if responses:
+                    if len(responses) > 1:
+                        raise HttpError("server sent pipelined responses unexpectedly")
+                    return responses[0]
+        except Interrupt:
+            # An abandoned exchange, as when a browser aborts an XHR:
+            # its response is still owed on this connection, so close it
+            # rather than let the next request queue behind it (a closed
+            # pooled connection is replaced on the next request).
+            pooled.connection.close()
+            raise

@@ -357,16 +357,16 @@ class HttpResponse:
         )
 
 
-def html_response(body: str, status: int = 200) -> HttpResponse:
-    """Convenience: a text/html response from a string."""
+def html_response(body: str) -> HttpResponse:
+    """Convenience: a 200 text/html response from a string."""
     headers = Headers([("Content-Type", "text/html; charset=utf-8")])
-    return HttpResponse(status, headers, body.encode("utf-8"))
+    return HttpResponse(200, headers, body.encode("utf-8"))
 
 
-def xml_response(body: str, status: int = 200) -> HttpResponse:
-    """Convenience: an application/xml response (RCB poll replies)."""
+def xml_response(body: str) -> HttpResponse:
+    """Convenience: a 200 application/xml response (RCB poll replies)."""
     headers = Headers([("Content-Type", "application/xml; charset=utf-8")])
-    return HttpResponse(status, headers, body.encode("utf-8"))
+    return HttpResponse(200, headers, body.encode("utf-8"))
 
 
 def _unquote(text: str) -> str:

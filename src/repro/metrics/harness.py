@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..core.session import CoBrowsingSession
-from ..obs import EventBus, Histogram, MetricsRegistry, Tracer
+from ..obs import Histogram, MetricsRegistry, Tracer
 from ..webserver.sites import TABLE1_SITES, SiteSpec
 from ..workloads.environments import build_lan, build_wan
 from .metrics import SiteMeasurement, average_measurements, measure_site_cobrowsing
@@ -70,16 +70,14 @@ def run_round(
     environment: str = "lan",
     cache_mode: bool = True,
     sites: Optional[Sequence[SiteSpec]] = None,
-    poll_interval: float = POLL_INTERVAL,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
-    events: Optional[EventBus] = None,
 ) -> List[SiteMeasurement]:
     """One round: fresh testbed, cleaned caches, visit every site once.
 
-    ``metrics``/``tracer``/``events`` are threaded into the session so an
+    ``metrics``/``tracer`` are threaded into the session so an
     experiment-level registry accumulates every round's instruments (and,
-    with a tracer/bus, every poll exchange's spans and events).
+    with a tracer, every poll exchange's spans).
     """
     if environment == "lan":
         testbed = build_lan()
@@ -92,10 +90,9 @@ def run_round(
     session = CoBrowsingSession(
         testbed.host_browser,
         cache_mode=cache_mode,
-        poll_interval=poll_interval,
+        poll_interval=POLL_INTERVAL,
         metrics=metrics,
         tracer=tracer,
-        events=events,
     )
     testbed.clear_caches()
 
@@ -120,9 +117,7 @@ def run_experiment(
     cache_mode: bool = True,
     repetitions: int = 5,
     sites: Optional[Sequence[SiteSpec]] = None,
-    poll_interval: float = POLL_INTERVAL,
     tracer: Optional[Tracer] = None,
-    events: Optional[EventBus] = None,
 ) -> ExperimentResult:
     """The full §5.1 procedure: ``repetitions`` rounds, averaged.
 
@@ -138,15 +133,7 @@ def run_experiment(
     m6 = registry.histogram("m6_seconds")
     per_site: Dict[str, List[SiteMeasurement]] = {spec.host: [] for spec in sites}
     for _ in range(repetitions):
-        for row in run_round(
-            environment,
-            cache_mode,
-            sites,
-            poll_interval,
-            metrics=registry,
-            tracer=tracer,
-            events=events,
-        ):
+        for row in run_round(environment, cache_mode, sites, metrics=registry, tracer=tracer):
             per_site[row.site].append(row)
             m5.observe(row.m5)
             m6.observe(row.m6)

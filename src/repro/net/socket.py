@@ -66,20 +66,9 @@ class Network:
     round trips).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        core_latency_s: float = INTERNET_CORE_LATENCY,
-        realistic: bool = False,
-        dns_enabled: Optional[bool] = None,
-        slow_start_enabled: Optional[bool] = None,
-    ):
+    def __init__(self, sim: Simulator, realistic: bool = False):
         self.sim = sim
-        self.core_latency_s = core_latency_s
-        self.dns_enabled = realistic if dns_enabled is None else dns_enabled
-        self.slow_start_enabled = (
-            realistic if slow_start_enabled is None else slow_start_enabled
-        )
+        self.realistic = realistic
         self.hosts: Dict[str, "Host"] = {}
 
     def dns_lookup_cost(self, client: "Host", server: "Host") -> float:
@@ -103,7 +92,7 @@ class Network:
         latency = a.link.latency_s + b.link.latency_s
         latency += a.extra_latency_s + b.extra_latency_s
         if a.segment != b.segment:
-            latency += self.core_latency_s
+            latency += INTERNET_CORE_LATENCY
         return latency
 
     def transfer_delay(self, sender: "Host", receiver: "Host", nbytes: int) -> float:
@@ -182,7 +171,7 @@ class Host:
             self._fail_later(result, HostUnreachable("cannot reach %r" % (target,)))
             return result
         dns_delay = 0.0
-        if self.network.dns_enabled and remote.name not in self._dns_cache:
+        if self.network.realistic and remote.name not in self._dns_cache:
             dns_delay = self.network.dns_lookup_cost(self, remote)
             self._dns_cache.add(remote.name)
         listener = remote.listener_on(port)
@@ -322,7 +311,7 @@ class Connection:
         self.bytes_sent += nbytes
         network = self.local.network
         delay = network.transfer_delay(self.local, self.remote, nbytes)
-        if network.slow_start_enabled and nbytes > self._cwnd:
+        if network.realistic and nbytes > self._cwnd:
             # Each doubling of the congestion window costs one RTT of
             # idle pacing before the pipe runs at line rate.
             rtt = 2 * network.propagation_latency(self.local, self.remote)

@@ -132,31 +132,29 @@ def write_chrome_trace(source, path: str) -> int:
     return sum(1 for event in document["traceEvents"] if event["ph"] == "X")
 
 
-def _profile(source, since: float = 0.0) -> Profile:
+def _profile(source) -> Profile:
     if isinstance(source, Profile):
         return source
-    return build_profile(source, since=since)
+    return build_profile(source)
 
 
-def collapsed_stacks(source, since: float = 0.0, wall: bool = False) -> str:
+def collapsed_stacks(source, wall: bool = False) -> str:
     """Collapsed-stack flame-graph text from a Tracer, span iterable,
     or prebuilt :class:`~repro.obs.profile.Profile`.  ``wall`` weights
     frames by wall compute instead of sim self-time."""
-    return "\n".join(_profile(source, since).collapsed(wall=wall))
+    return "\n".join(_profile(source).collapsed(wall=wall))
 
 
-def write_collapsed(source, path: str, since: float = 0.0, wall: bool = False) -> int:
+def write_collapsed(source, path: str, wall: bool = False) -> int:
     """Write collapsed stacks to ``path``; returns the line count."""
-    text = collapsed_stacks(source, since, wall)
+    text = collapsed_stacks(source, wall)
     with open(path, "w") as handle:
         if text:
             handle.write(text + "\n")
     return text.count("\n") + 1 if text else 0
 
 
-def speedscope_profile(
-    source, since: float = 0.0, name: str = "repro profile"
-) -> Dict[str, object]:
+def speedscope_profile(source, name: str = "repro profile") -> Dict[str, object]:
     """Build a speedscope-JSON document with both cost axes.
 
     Profile 0 weights stacks by **sim self-time**, profile 1 by **wall
@@ -164,7 +162,7 @@ def speedscope_profile(
     speedscope UI.  Weights are whole microseconds; zero-weight stacks
     are dropped per axis.
     """
-    profile = _profile(source, since)
+    profile = _profile(source)
     frames: List[Dict[str, str]] = []
     frame_index: Dict[str, int] = {}
 
@@ -209,12 +207,10 @@ def speedscope_profile(
     }
 
 
-def write_speedscope(
-    source, path: str, since: float = 0.0, name: str = "repro profile"
-) -> int:
+def write_speedscope(source, path: str, name: str = "repro profile") -> int:
     """Write the speedscope document to ``path``; returns the total
     sample count across both axes."""
-    document = speedscope_profile(source, since=since, name=name)
+    document = speedscope_profile(source, name=name)
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1, sort_keys=True)
         handle.write("\n")

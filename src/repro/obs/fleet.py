@@ -44,21 +44,24 @@ def _median(values: List[float]) -> float:
 class FleetView:
     """Aggregates piggybacked telemetry digests into fleet rollups."""
 
+    #: Minimum seconds between a reporter's piggybacked flushes (the
+    #: session hands this to every member's ClientTelemetry).
+    flush_interval = 2.0
+    #: Modified-z threshold for flagging a straggler (3.5 is the
+    #: standard Iglewicz–Hoaglin cut).
+    straggler_threshold = 3.5
+    #: Robust statistics need a minimum population.
+    straggler_min_members = 4
+
     def __init__(
         self,
         byte_cap: int = 2048,
-        flush_interval: float = 2.0,
         tier_of: Optional[Callable[[str], Optional[int]]] = None,
         shard_of: Optional[Callable[[str], Optional[str]]] = None,
-        straggler_threshold: float = 3.5,
-        straggler_min_members: int = 4,
     ):
         #: Compact-encoding budget each reporter folds under; the
         #: session hands this to every member's ClientTelemetry.
         self.byte_cap = byte_cap
-        #: Minimum seconds between a reporter's piggybacked flushes
-        #: (also handed to every member) — the overhead/freshness knob.
-        self.flush_interval = flush_interval
         #: ``member_id -> tier`` resolver (the session wires its
         #: ``member_tier``); None leaves every member untiered.
         self.tier_of = tier_of
@@ -66,11 +69,6 @@ class FleetView:
         #: :class:`~repro.core.shard.AgentPool` wires its ``shard_of``);
         #: None leaves every member unsharded.
         self.shard_of = shard_of
-        #: Modified-z threshold for flagging a straggler (3.5 is the
-        #: standard Iglewicz–Hoaglin cut).
-        self.straggler_threshold = straggler_threshold
-        #: Robust statistics need a minimum population.
-        self.straggler_min_members = straggler_min_members
 
         self._members: Dict[str, MemberDelta] = {}
         #: Fold-under-cap aggregates, identity lost upstream (the record

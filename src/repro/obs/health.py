@@ -251,16 +251,9 @@ def _tier_sync_values(monitor: "HealthMonitor") -> Dict[str, float]:
 
 
 def default_rules(
-    staleness_warn_ms: float = 2500.0,
-    staleness_breach_ms: float = 5000.0,
-    resync_warn_per_min: float = 4.0,
-    resync_breach_per_min: float = 10.0,
-    fallback_warn_ratio: float = 0.3,
-    fallback_breach_ratio: float = 0.6,
-    tier_sync_warn_s: float = 2.0,
-    tier_sync_breach_s: float = 5.0,
+    staleness_warn_ms: float = 2500.0, staleness_breach_ms: float = 5000.0
 ) -> List[SloRule]:
-    """The standard rule set; thresholds are keyword-tunable."""
+    """The standard rule set; only the staleness thresholds are tunable."""
     return [
         SloRule(
             "staleness_p95",
@@ -273,24 +266,24 @@ def default_rules(
         SloRule(
             "resync_rate",
             _resync_rate_values,
-            warn=resync_warn_per_min,
-            breach=resync_breach_per_min,
+            warn=4.0,
+            breach=10.0,
             unit="/min",
             description="forced full-envelope resyncs per minute",
         ),
         SloRule(
             "delta_fallback_ratio",
             _delta_fallback_values,
-            warn=fallback_warn_ratio,
-            breach=fallback_breach_ratio,
+            warn=0.3,
+            breach=0.6,
             unit="",
             description="delta fallbacks over content responses",
         ),
         SloRule(
             "tier_sync_p95",
             _tier_sync_values,
-            warn=tier_sync_warn_s,
-            breach=tier_sync_breach_s,
+            warn=2.0,
+            breach=5.0,
             unit="s",
             description="per-tier sync latency p95 vs the delay budget",
         ),
@@ -324,12 +317,7 @@ def _member_uplink_values(monitor: "HealthMonitor") -> Dict[str, float]:
 
 
 def perf_budget_rules(
-    serve_self_warn_ms: float = 100.0,
-    serve_self_breach_ms: float = 500.0,
-    generate_wall_warn_ms: float = 10.0,
-    generate_wall_breach_ms: float = 50.0,
-    uplink_warn_bytes_s: float = 65536.0,
-    uplink_breach_bytes_s: float = 262144.0,
+    uplink_warn_bytes_s: float = 65536.0, uplink_breach_bytes_s: float = 262144.0
 ) -> List[SloRule]:
     """Perf-budget rules over *attributed* quantities — the continuous
     profiler's sim self-times and the byte sink's per-member rates.
@@ -340,16 +328,16 @@ def perf_budget_rules(
         SloRule(
             "serve_self_p95",
             _serve_self_values,
-            warn=serve_self_warn_ms,
-            breach=serve_self_breach_ms,
+            warn=100.0,
+            breach=500.0,
             unit="ms",
             description="p95 serve self-time per node (holds excluded)",
         ),
         SloRule(
             "generate_wall_p95",
             _generate_wall_values,
-            warn=generate_wall_warn_ms,
-            breach=generate_wall_breach_ms,
+            warn=10.0,
+            breach=50.0,
             unit="ms",
             description="p95 wall compute per generation, per node",
         ),
@@ -377,10 +365,7 @@ def _telemetry_overhead_values(monitor: "HealthMonitor") -> Dict[str, float]:
 
 
 def fleet_rules(
-    staleness_warn_ms: float = 2500.0,
-    staleness_breach_ms: float = 5000.0,
-    overhead_warn_ratio: float = 0.02,
-    overhead_breach_ratio: float = 0.05,
+    staleness_warn_ms: float = 2500.0, staleness_breach_ms: float = 5000.0
 ) -> List[SloRule]:
     """Add-on rules over the fleet telemetry plane's *client-measured*
     digests.  ``client_staleness_p95`` is the true end-to-end staleness
@@ -402,8 +387,8 @@ def fleet_rules(
         SloRule(
             "telemetry_overhead_ratio",
             _telemetry_overhead_values,
-            warn=overhead_warn_ratio,
-            breach=overhead_breach_ratio,
+            warn=0.02,
+            breach=0.05,
             unit="",
             description="piggybacked digest bytes over content bytes",
         ),
@@ -433,12 +418,7 @@ def _shard_promote_values(monitor: "HealthMonitor") -> Dict[str, float]:
     return {SESSION_SUBJECT: count / minutes}
 
 
-def shard_rules(
-    skew_warn_ratio: float = 1.5,
-    skew_breach_ratio: float = 2.5,
-    promote_warn_per_min: float = 2.0,
-    promote_breach_per_min: float = 6.0,
-) -> List[SloRule]:
+def shard_rules() -> List[SloRule]:
     """Add-on rules for sessions serving through an
     :class:`~repro.core.shard.AgentPool`.  ``shard_load_skew`` grades
     each instance's assigned members against the even share (the
@@ -451,16 +431,16 @@ def shard_rules(
         SloRule(
             "shard_load_skew",
             _shard_skew_values,
-            warn=skew_warn_ratio,
-            breach=skew_breach_ratio,
+            warn=1.5,
+            breach=2.5,
             unit="x",
             description="per-shard members over the even share",
         ),
         SloRule(
             "shard_promote_rate",
             _shard_promote_values,
-            warn=promote_warn_per_min,
-            breach=promote_breach_per_min,
+            warn=2.0,
+            breach=6.0,
             unit="/min",
             description="host-death failover promotions per minute",
         ),
@@ -471,8 +451,7 @@ class HealthMonitor:
     """Samples a session's health signals and evaluates the SLO rules.
 
     ``sample()`` records one staleness observation per member (pruned to
-    the sliding sim-time ``window``) and mirrors the current value into
-    the registry (``health_staleness_ms`` gauges).  ``check()`` grades
+    the sliding sim-time ``window``).  ``check()`` grades
     every rule with hysteresis and returns a :class:`HealthReport`;
     :meth:`run` is a generator process doing both on a cadence.
     """
@@ -571,7 +550,6 @@ class HealthMonitor:
             ring.append((now, value))
             while ring and ring[0][0] < horizon:
                 ring.popleft()
-            self.registry.gauge("health_staleness_ms", node=member).set(value)
         # Members that left stop accumulating and age out of the window.
         for member in list(self._staleness):
             if member not in current:

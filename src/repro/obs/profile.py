@@ -181,9 +181,7 @@ class Profile:
             row["wall"] += wall
         return out
 
-    def self_samples(
-        self, suffix: str, by_node: bool = True, wall: bool = False
-    ) -> Dict[str, List[float]]:
+    def self_samples(self, suffix: str, wall: bool = False) -> Dict[str, List[float]]:
         """Per-span cost samples for spans whose kind ends in ``suffix``,
         grouped by node (the SLO engine's percentile feed).  ``wall``
         selects the wall-compute axis instead of sim self-time."""
@@ -191,8 +189,7 @@ class Profile:
         for span, self_seconds, wall_seconds in self.records:
             if not span.name.endswith(suffix):
                 continue
-            key = (span.node or "?") if by_node else span.name
-            out.setdefault(key, []).append(wall_seconds if wall else self_seconds)
+            out.setdefault(span.node or "?", []).append(wall_seconds if wall else self_seconds)
         return out
 
     def stacks(self) -> List[Tuple[Tuple[str, ...], float, float, int]]:

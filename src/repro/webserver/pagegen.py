@@ -53,30 +53,20 @@ class GeneratedSite:
         )
 
 
-def generate_site(
-    host: str,
-    target_html_kb: float,
-    image_count: int = None,
-    css_count: int = None,
-    script_count: int = None,
-    seed: int = None,
-) -> GeneratedSite:
+def generate_site(host: str, target_html_kb: float) -> GeneratedSite:
     """Build a deterministic synthetic homepage for ``host``.
 
-    The HTML document is grown to within ~2% of ``target_html_kb``.
-    Object counts default to size-proportional values typical of 2009
-    portal homepages.
+    The HTML document is grown to within ~2% of ``target_html_kb``, and
+    the random stream is seeded from the host name.  Object counts are
+    size-proportional values typical of 2009 portal homepages.
     """
     if target_html_kb <= 0:
         raise ValueError("target_html_kb must be positive")
-    rng = random.Random(seed if seed is not None else _stable_seed(host))
+    rng = random.Random(_stable_seed(host))
 
-    if image_count is None:
-        image_count = max(4, min(40, int(target_html_kb / 4)))
-    if css_count is None:
-        css_count = 1 + (1 if target_html_kb > 60 else 0)
-    if script_count is None:
-        script_count = 1 + (2 if target_html_kb > 40 else 0)
+    image_count = max(4, min(40, int(target_html_kb / 4)))
+    css_count = 1 + (1 if target_html_kb > 60 else 0)
+    script_count = 1 + (2 if target_html_kb > 40 else 0)
 
     objects: Dict[str, Tuple[str, bytes]] = {}
     image_paths = []

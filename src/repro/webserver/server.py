@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 from ..http import Headers, HttpRequest, HttpResponse, HttpServer
-from ..net.link import SERVER_PROFILE, LinkProfile
+from ..net.link import SERVER_PROFILE
 from ..net.socket import Host, Network
 from .pagegen import GeneratedSite
 
@@ -65,7 +65,6 @@ class OriginServer:
         host_name: str,
         handler: Callable,
         port: int = 80,
-        profile: LinkProfile = SERVER_PROFILE,
         processing_delay: float = DEFAULT_PROCESSING_DELAY,
         extra_latency_s: float = 0.0,
     ):
@@ -73,7 +72,7 @@ class OriginServer:
         self.host = existing or Host(
             network,
             host_name,
-            profile,
+            SERVER_PROFILE,
             segment="internet",
             extra_latency_s=extra_latency_s,
         )

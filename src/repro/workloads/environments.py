@@ -141,44 +141,33 @@ def build_lan(
 MOBILE_GENERATION_COST_PER_KB = 0.005
 
 
-def build_mobile(
-    participants: int = 1,
-    deploy_sites: bool = True,
-    with_map: bool = False,
-    with_shop: bool = False,
-) -> Testbed:
+def build_mobile() -> Testbed:
     """The paper's §6 mobile scenario: the HOST is an internet tablet on
-    Wi-Fi; participants are desktops on the same access network."""
+    Wi-Fi; one participant is a desktop on the same access network."""
     testbed = _build(
         "mobile",
         host_segment="hotspot",
         participant_segments=["hotspot"],
         profile=LAN_PROFILE,
-        participants=participants,
-        deploy_sites=deploy_sites,
-        with_map=with_map,
-        with_shop=with_shop,
+        participants=1,
+        deploy_sites=True,
+        with_map=False,
+        with_shop=False,
     )
     # Swap the host onto the tablet's Wi-Fi link.
     testbed.host_browser.host.link = AccessLink(testbed.sim, MOBILE_WIFI_PROFILE)
     return testbed
 
 
-def build_wan(
-    participants: int = 1,
-    deploy_sites: bool = True,
-    with_map: bool = False,
-    with_shop: bool = False,
-) -> Testbed:
+def build_wan(deploy_sites: bool = True) -> Testbed:
     """Two homes on slow 1.5 Mbps / 384 Kbps broadband."""
-    segments = ["home-%d" % (index + 1) for index in range(max(participants, 1))]
     return _build(
         "wan",
         host_segment="home-0",
-        participant_segments=segments,
+        participant_segments=["home-1"],
         profile=WAN_HOME_PROFILE,
-        participants=participants,
+        participants=1,
         deploy_sites=deploy_sites,
-        with_map=with_map,
-        with_shop=with_shop,
+        with_map=False,
+        with_shop=False,
     )

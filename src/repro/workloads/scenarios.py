@@ -78,11 +78,10 @@ class TaskResult:
 class ScenarioRunner:
     """Executes one full co-browsing session (all 20 tasks of Table 2)."""
 
-    def __init__(self, testbed: Testbed, poll_interval: float = 1.0):
+    def __init__(self, testbed: Testbed):
         if testbed.map_service is None or testbed.shop_service is None:
             raise ValueError("the scenario testbed needs with_map and with_shop")
         self.testbed = testbed
-        self.poll_interval = poll_interval
 
     def run_session(self, bob_browser: Browser, alice_browser: Browser):
         """Generator process returning the list of 20 TaskResults."""
@@ -108,7 +107,7 @@ class ScenarioRunner:
         try:
             # T1-B: Bob hosts.
             started = sim.now
-            session = CoBrowsingSession(bob_browser, poll_interval=self.poll_interval)
+            session = CoBrowsingSession(bob_browser)
             hosting = bob_browser.host.listener_on(session.agent.port) is not None
             record("T1-B", hosting, "agent listening on %s" % session.agent.url, started)
 

@@ -11,7 +11,7 @@ step.  Used by the soak tests and the throughput benchmark.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from ..core.session import CoBrowsingSession
 from ..webserver.sites import TABLE1_SITES
@@ -35,12 +35,12 @@ class SurfOperation:
         return "SurfOperation(%s, %r)" % (self.kind, self.argument)
 
 
-def generate_trace(seed: int, length: int, sites: Optional[List[str]] = None) -> List[SurfOperation]:
-    """A deterministic trace of ``length`` operations."""
+def generate_trace(seed: int, length: int) -> List[SurfOperation]:
+    """A deterministic trace of ``length`` operations over the Table-1 sites."""
     if length < 1:
         raise ValueError("length must be positive")
     rng = random.Random(seed)
-    hosts = sites if sites is not None else [spec.host for spec in TABLE1_SITES]
+    hosts = [spec.host for spec in TABLE1_SITES]
     operations: List[SurfOperation] = [SurfOperation("visit", rng.choice(hosts))]
     for _ in range(length - 1):
         roll = rng.random()
@@ -75,17 +75,12 @@ class SurfReport:
         )
 
 
-def run_surf(
-    testbed: Testbed,
-    session: CoBrowsingSession,
-    trace: List[SurfOperation],
-    verify_each_step: bool = True,
-):
+def run_surf(testbed: Testbed, session: CoBrowsingSession, trace: List[SurfOperation]):
     """Generator process: drive the session through ``trace``.
 
-    With ``verify_each_step``, every operation is followed by a
-    synchronization barrier and a host/participant equivalence check —
-    the timestamp-protocol invariant exercised at scale.
+    Every operation but an idle is followed by a synchronization barrier
+    and a host/participant equivalence check — the timestamp-protocol
+    invariant exercised at scale.
     """
     sim = testbed.sim
     host_browser = testbed.host_browser
@@ -135,9 +130,8 @@ def run_surf(
                 participant.dispatch_event(field, "change")
                 yield from snippet.flush()
                 report.participant_fills += 1
-        if verify_each_step:
-            yield from session.wait_until_synced(timeout=600)
-            verify()
+        yield from session.wait_until_synced(timeout=600)
+        verify()
 
     yield from session.wait_until_synced(timeout=600)
     verify()

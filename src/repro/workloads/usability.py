@@ -174,12 +174,12 @@ def analyze_questionnaire(
 # -- task-execution side of the study -----------------------------------------------
 
 
-def run_pair_study(pair_index: int = 0, poll_interval: float = 1.0) -> List[List[TaskResult]]:
+def run_pair_study(pair_index: int = 0) -> List[List[TaskResult]]:
     """One pair of subjects: two sessions with roles switched."""
     sessions = []
     for role_swap in (False, True):
         testbed = build_lan(deploy_sites=False, with_map=True, with_shop=True)
-        runner = ScenarioRunner(testbed, poll_interval=poll_interval)
+        runner = ScenarioRunner(testbed)
         bob = testbed.host_browser
         alice = testbed.participant_browser
         # Role switching swaps which human plays Bob; structurally the

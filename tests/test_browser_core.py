@@ -268,7 +268,7 @@ class TestEventsAndForms:
             '<button id="b" onclick="doThing(this)">go</button>'
         )
         called = []
-        browser.page.scripts.register("doThing", lambda el, ev: called.append(el.tag))
+        browser.page.scripts.register("doThing", lambda el: called.append(el.tag))
         button = browser.page.document.get_element_by_id("b")
         browser.dispatch_event(button, "click")
         assert called == ["button"]
@@ -308,7 +308,7 @@ class TestEventsAndForms:
         sim, browser = self.make_browser_with_page(
             '<a id="l" href="/done" onclick="return intercept(this)">go</a>'
         )
-        browser.page.scripts.register("intercept", lambda el, ev: False)
+        browser.page.scripts.register("intercept", lambda el: False)
         anchor = browser.page.document.get_element_by_id("l")
 
         def scenario():
@@ -353,7 +353,7 @@ class TestEventsAndForms:
         )
         captured = []
 
-        def hook(element, event):
+        def hook(element):
             captured.append(Browser.collect_form_fields(element))
             return False
 

@@ -303,6 +303,36 @@ class TestHeldPollRegistrations:
         assert max(lengths) <= 4 * members
 
 
+class TestLeaveAndRejoin:
+    """A member who leaves while its poll is parked, then rejoins from
+    the same browser, gets its initial page at once.  Leaving abandons
+    the exchange the way a browser aborts an XHR: its keep-alive
+    connection is closed, not left pooled behind the poll the agent
+    still holds (before, the rejoin under long poll waited out the
+    25 s hold)."""
+
+    @pytest.mark.parametrize("mode", TRANSPORT_MODES)
+    def test_rejoin_does_not_wait_out_the_abandoned_hold(self, mode):
+        sim, session, (browser,) = build_world(participants=1, transport=mode)
+        rejoin = {}
+
+        def scenario():
+            snippet = yield from session.join(browser)
+            yield from session.host_navigate("http://site.com/")
+            yield from session.wait_until_synced()
+            yield sim.timeout(2.0)
+            session.leave(snippet)
+            started = sim.now
+            snippet = yield from session.join(browser)
+            rejoin["seconds"] = sim.now - started
+            yield from session.wait_until_synced()
+            return snippet
+
+        snippet = run(sim, scenario())
+        assert snippet.connected
+        assert rejoin["seconds"] < 0.1
+
+
 def build_host(transport, **agent_kwargs):
     """A host agent on :data:`PAGE`, polled straight through its poll
     endpoint (no network): ``(sim, browser, agent)``."""

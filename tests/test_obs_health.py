@@ -195,7 +195,8 @@ class TestStalenessSampling:
             session.sim.now = float(step)
             monitor.sample()
         assert monitor.staleness_p95("alice") == 0.0
-        assert session.metrics.gauge("health_staleness_ms", node="alice").value == 0.0
+        # Sampling keeps no per-member instrument in the registry.
+        assert session.metrics.find("health_staleness_ms", node="alice") is None
 
     def test_departed_member_ages_out(self):
         session = StubSession()

@@ -92,11 +92,9 @@ def rewrite_everything(document):
         body.append_child(document.create_element("div", id="new-%d" % i))
 
 
-def body_bytes(agent, participant, their_time, actions, force_full=False):
+def body_bytes(agent, participant, their_time, actions):
     """Serve one poll body; ``(response bytes, is_delta, response)``."""
-    body, is_delta = agent._serve_body(
-        participant, their_time, actions, force_full=force_full
-    )
+    body, is_delta = agent._serve_body(participant, their_time, actions)
     response = agent._respond(body)
     return response.to_bytes(), is_delta, response
 
@@ -124,12 +122,10 @@ class Playback:
         #: Full envelopes by doc_time, for deltas inside push responses.
         self.full_bodies = {}
 
-    def serve(self, member, their_time, actions=(), force_full=False):
+    def serve(self, member, their_time, actions=()):
         """Serve one poll body directly; log the whole HTTP response."""
         actions = list(actions)
-        wire, is_delta, response = body_bytes(
-            self.agent, member, their_time, actions, force_full=force_full
-        )
+        wire, is_delta, response = body_bytes(self.agent, member, their_time, actions)
         full_body = self._full_body(member) if is_delta else None
         self.served.append(Served(member, is_delta, wire, response.body, actions, full_body))
         return response, is_delta
@@ -285,13 +281,6 @@ def cookie_replication():
     play.browser.cookie_jar.set("site.com", "sid", "s3cr3t")
     edit_headline(play.browser, "with-cookies")
     play.serve("alice", 0)
-    return play
-
-
-@golden
-def always_resend_force_full():
-    play = Playback()
-    play.serve("alice", play.agent.doc_time, [MouseMoveAction(1, 1)], force_full=True)
     return play
 
 
@@ -664,10 +653,6 @@ class TestBatchedByteIdentity:
     def test_cookie_replication_identity(self):
         play = play_golden("cookie_replication")
         assert b"docCookies" in play.served[0].body
-
-    def test_always_resend_force_full_identity(self):
-        play = play_golden("always_resend_force_full")
-        assert [served.is_delta for served in play.served] == [False]
 
     def test_hmac_signed_object_urls(self):
         play = play_golden("hmac_signed_object_urls")

@@ -49,8 +49,7 @@ class TestEnvironments:
 
     def test_realistic_network_model_enabled(self):
         testbed = build_lan()
-        assert testbed.network.dns_enabled
-        assert testbed.network.slow_start_enabled
+        assert testbed.network.realistic
 
 
 class TestScenario:
